@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fmt bench bench-compare trace-demo chaos
+.PHONY: check vet build test race fmt bench trace-demo chaos
 
 check: fmt vet build race
 
@@ -29,23 +29,6 @@ fmt:
 # bench regenerates the numbers recorded in BENCH_*.json.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffle|BenchmarkLevenshtein$$|BenchmarkJaccardQ2|BenchmarkTokenCosine|BenchmarkJob2Map$$|BenchmarkJob2Reduce|BenchmarkEnginePipeline' -benchmem ./...
-
-# bench-compare diffs the barriered reference engine against the
-# pipelined engine on the skewed BenchmarkEnginePipeline workload,
-# worker count by worker count. Host-parallelism caveat: on a
-# single-CPU machine the engines do identical work and should tie;
-# the pipelined overlap win needs real cores.
-bench-compare:
-	@tmp="$$(mktemp -d)"; \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	echo "== barrier engine =="; \
-	$(GO) test -run '^$$' -bench 'BenchmarkEnginePipeline/barrier' -benchmem ./internal/mapreduce \
-		| grep '^Benchmark' | sed 's|/barrier/|/|' | tee "$$tmp/barrier.txt"; \
-	echo "== pipelined engine =="; \
-	$(GO) test -run '^$$' -bench 'BenchmarkEnginePipeline/pipelined' -benchmem ./internal/mapreduce \
-		| grep '^Benchmark' | sed 's|/pipelined/|/|' | tee "$$tmp/pipelined.txt"; \
-	echo "== barrier -> pipelined =="; \
-	./scripts/benchdiff.sh "$$tmp/barrier.txt" "$$tmp/pipelined.txt"
 
 # chaos runs the pipeline under deterministic fault injection and
 # asserts the output is byte-identical to the fault-free baseline.

@@ -75,10 +75,8 @@ func main() {
 	qualityOut := flag.String("quality-out", "", "write quality telemetry (progressive-recall curve + calibration report) to this path; a .csv suffix writes the curve as CSV, anything else the full export as JSON")
 	sampleEvery := flag.Float64("sample-every", 0, "progressive-recall sampling interval in cost units for -quality-out (0 = total time / 64)")
 	statusAddr := flag.String("status", "", "serve the live status server on this address while the run executes: /healthz, /progress, /tasks, /membudget, /metrics, /debug/pprof (\":0\" picks a free port)")
-	pprofAddr := flag.String("pprof", "", "alias for -status (the status server includes /debug/pprof)")
-	eventsPath := flag.String("events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, retries, speculation, shuffle merges and spills) to this path; \"-\" writes to stderr")
+	eventsPath := flag.String("events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, retries, speculation) to this path; \"-\" writes to stderr")
 	showProgress := flag.Bool("progress", false, "render a single-line live progress indicator on stderr while the run executes")
-	engine := flag.String("engine", "pipelined", "host execution engine: pipelined (dependency-driven task graph) | barrier (three barriered phases); results are identical")
 	memBudget := flag.String("mem-budget", "", "cap tracked shuffle/statistics memory at this size (e.g. 64M, 2G; K/M/G suffixes), spilling compressed runs to disk when exceeded; results are identical")
 	spillDir := flag.String("spill-dir", "", "directory for spill files (default system temp; only used with -mem-budget)")
 	distN := flag.Int("dist", 0, "single-machine distributed run: fork this many worker processes and lease every task execution to them over RPC; results are byte-identical to an in-process run")
@@ -89,14 +87,6 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 0, "declare a worker dead after this long without a heartbeat and re-lease its outstanding tasks (default 10s)")
 	workerDie := flag.Int("worker-die-after", 0, "fault harness: a worker exits abruptly after taking this many task leases; in -dist mode, applied to the first forked worker")
 	flag.Parse()
-
-	if *statusAddr != "" && *pprofAddr != "" {
-		log.Fatal("-pprof is a deprecated alias of -status: pass one of them, not both")
-	}
-	serveAddr := *statusAddr
-	if serveAddr == "" {
-		serveAddr = *pprofAddr
-	}
 
 	modes := 0
 	for _, on := range []bool{*distN > 0, *masterMode, *workerMode} {
@@ -114,13 +104,8 @@ func main() {
 	if *connectAddr != "" && !*workerMode {
 		log.Fatal("-connect only applies to -worker mode")
 	}
-	if distActive {
-		if *engine != "pipelined" {
-			log.Fatal("distributed modes require the pipelined engine")
-		}
-		if *memBudget != "" {
-			log.Fatal("distributed modes are incompatible with -mem-budget (run files are the out-of-core path)")
-		}
+	if distActive && *memBudget != "" {
+		log.Fatal("distributed modes are incompatible with -mem-budget (run files are the out-of-core path)")
 	}
 	var (
 		tracer  *proger.Tracer
@@ -130,12 +115,12 @@ func main() {
 	if *tracePath != "" {
 		tracer = proger.NewTracer()
 	}
-	if *metricsPath != "" || *showReport || serveAddr != "" || *workerMode {
+	if *metricsPath != "" || *showReport || *statusAddr != "" || *workerMode {
 		// Workers always keep a registry: its counters feed the telemetry
 		// snapshot each heartbeat ships to the master's fleet table.
 		metrics = proger.NewMetricsRegistry()
 	}
-	if *qualityOut != "" || *showReport || serveAddr != "" {
+	if *qualityOut != "" || *showReport || *statusAddr != "" {
 		qrec = proger.NewQualityRecorder()
 	}
 
@@ -163,7 +148,7 @@ func main() {
 		relay = proger.NewRelayEventLog(0)
 	}
 	var lvRun *proger.LiveRun
-	if serveAddr != "" || elog != nil || relay != nil || *showProgress || *showReport {
+	if *statusAddr != "" || elog != nil || relay != nil || *showProgress || *showReport {
 		// -report also wants a live hub: the run summary's membudget
 		// pressure section reads the attached manager's snapshot.
 		runLog := elog
@@ -173,8 +158,8 @@ func main() {
 		lvRun = proger.NewLiveRun(runLog)
 	}
 	var statusSrv *proger.StatusServer
-	if serveAddr != "" {
-		srv, err := proger.ServeStatus(serveAddr, lvRun, metrics)
+	if *statusAddr != "" {
+		srv, err := proger.ServeStatus(*statusAddr, lvRun, metrics)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -191,7 +176,6 @@ func main() {
 		injector = proger.NewSeededFaults(*faultSeed, *faultRate)
 		retry = proger.RetryPolicy{MaxRetries: *maxRetries, Speculation: true}
 	}
-	execMode := pickEngine(*engine)
 	budgetBytes := parseSize(*memBudget)
 	if budgetBytes > 0 && metrics == nil {
 		// The budget pressure summary reads registry gauges, so a budget
@@ -253,7 +237,7 @@ func main() {
 		if *masterMode {
 			fmt.Fprintf(os.Stderr, "proger: master serving task leases on %s\n", m.Addr())
 		}
-		children = forkWorkers(*distN, m.Addr(), *workerDie, serveAddr != "")
+		children = forkWorkers(*distN, m.Addr(), *workerDie, *statusAddr != "")
 	}
 
 	var (
@@ -269,7 +253,6 @@ func main() {
 			PopcornThreshold: *popcorn,
 			Machines:         *machines,
 			SlotsPerMachine:  *slots,
-			Execution:        execMode,
 			Transport:        transport,
 			Faults:           injector,
 			Retry:            retry,
@@ -289,7 +272,6 @@ func main() {
 			Machines:        *machines,
 			SlotsPerMachine: *slots,
 			Scheduler:       pickScheduler(*scheduler),
-			Execution:       execMode,
 			Transport:       transport,
 			Faults:          injector,
 			Retry:           retry,
@@ -636,17 +618,6 @@ func parseSize(s string) int64 {
 	return v * mult
 }
 
-func pickEngine(name string) proger.ExecutionMode {
-	switch name {
-	case "pipelined":
-		return proger.ExecPipelined
-	case "barrier":
-		return proger.ExecBarrier
-	}
-	log.Fatalf("unknown engine %q (want pipelined or barrier)", name)
-	return proger.ExecPipelined
-}
-
 func pickPolicy(generate string) proger.Policy {
 	if generate == "books" {
 		return proger.OLBooksPolicy()
@@ -732,7 +703,7 @@ var resolutionFlags = map[string]bool{
 	"input": true, "generate": true, "n": true, "seed": true, "truth": true,
 	"block": true, "rule": true, "match-threshold": true, "mechanism": true,
 	"scheduler": true, "basic": true, "window": true, "popcorn": true,
-	"machines": true, "slots": true, "engine": true,
+	"machines": true, "slots": true,
 	"fault-rate": true, "fault-seed": true, "max-retries": true,
 }
 

@@ -169,7 +169,6 @@ func ResolveBasic(ds *entity.Dataset, opts BasicOptions) (*Result, error) {
 		Cluster:        cluster,
 		Cost:           opts.Cost,
 		Workers:        opts.Workers,
-		Execution:      opts.Execution,
 		Transport:      opts.Transport,
 		Faults:         opts.Faults,
 		Retry:          opts.Retry,

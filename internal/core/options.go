@@ -57,10 +57,6 @@ type Options struct {
 	// Workers caps host-machine concurrency (0 = GOMAXPROCS); never
 	// affects results or simulated timing.
 	Workers int
-	// Execution picks the engine for both jobs: the pipelined
-	// task-graph engine (default) or the barriered reference engine.
-	// Like Workers, a host knob that never affects results.
-	Execution mapreduce.ExecutionMode
 	// Transport, when non-nil, replaces in-process task execution for
 	// both jobs: a dist.Master leases every task to worker processes, a
 	// dist.Worker executes leases and follows the master's broadcasts.
@@ -118,8 +114,8 @@ type Options struct {
 	// Workers — results, traces, and quality telemetry are identical
 	// with or without it. 0 keeps everything in memory.
 	MemBudget int64
-	// SpillDir is where budget- and limit-forced spill files live
-	// (system temp when empty).
+	// SpillDir is where budget-forced spill files live (system temp
+	// when empty).
 	SpillDir string
 }
 
@@ -178,8 +174,6 @@ type BasicOptions struct {
 	SlotsPerMachine int
 	Cost            costmodel.Model
 	Workers         int
-	// Execution mirrors Options.Execution.
-	Execution mapreduce.ExecutionMode
 	// Transport mirrors Options.Transport.
 	Transport mapreduce.TaskTransport
 	// Faults and Retry mirror Options.Faults / Options.Retry.

@@ -78,7 +78,6 @@ func Resolve(ds *entity.Dataset, opts Options) (*Result, error) {
 	// ---- Job 1: progressive blocking + statistics ----
 	job1Cfg := blocking.Job1Config(opts.Families, cluster, opts.Cost)
 	job1Cfg.Workers = opts.Workers
-	job1Cfg.Execution = opts.Execution
 	job1Cfg.Transport = opts.Transport
 	job1Cfg.Faults = opts.Faults
 	job1Cfg.Retry = opts.Retry
@@ -174,7 +173,6 @@ func Resolve(ds *entity.Dataset, opts Options) (*Result, error) {
 		Cluster:        cluster,
 		Cost:           opts.Cost,
 		Workers:        opts.Workers,
-		Execution:      opts.Execution,
 		Transport:      opts.Transport,
 		Faults:         opts.Faults,
 		Retry:          opts.Retry,

@@ -25,9 +25,12 @@ type fleet struct {
 	reg        *obs.Registry
 	masterLive *live.Run
 	workers    []*Worker
-	wg         sync.WaitGroup
-	mu         sync.Mutex
-	werrs      []error
+	// tune, when set, adjusts every fleet process's options; pass the
+	// same function to localRun for the reference.
+	tune  func(*proger.Options)
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	werrs []error
 }
 
 func newFleet(t *testing.T, ttl time.Duration) *fleet {
@@ -91,6 +94,9 @@ func (f *fleet) addWorker(ds *proger.Dataset, faultRate float64, wopts WorkerOpt
 		defer f.wg.Done()
 		opts := baseOptions(faultRate)
 		fillDataset(ds, &opts)
+		if f.tune != nil {
+			f.tune(&opts)
+		}
 		opts.Transport = w
 		if wopts.Relay != nil {
 			// A relay-equipped worker publishes its live introspection
@@ -114,6 +120,9 @@ func (f *fleet) run(ds *proger.Dataset, faultRate float64) (*proger.Result, *pro
 	f.t.Helper()
 	opts := baseOptions(faultRate)
 	fillDataset(ds, &opts)
+	if f.tune != nil {
+		f.tune(&opts)
+	}
 	opts.Transport = f.master
 	opts.Trace = proger.NewTracer()
 	opts.Quality = proger.NewQualityRecorder()
@@ -141,11 +150,15 @@ func (f *fleet) shutdown() {
 	}
 }
 
-// localRun is the single-process determinism reference.
-func localRun(t *testing.T, ds *proger.Dataset, faultRate float64) (*proger.Result, *proger.Tracer, *proger.QualityRecorder) {
+// localRun is the single-process determinism reference; tune, when
+// non-nil, adjusts its options as fleet.tune does the fleet's.
+func localRun(t *testing.T, ds *proger.Dataset, faultRate float64, tune func(*proger.Options)) (*proger.Result, *proger.Tracer, *proger.QualityRecorder) {
 	t.Helper()
 	opts := baseOptions(faultRate)
 	fillDataset(ds, &opts)
+	if tune != nil {
+		tune(&opts)
+	}
 	opts.Trace = proger.NewTracer()
 	opts.Quality = proger.NewQualityRecorder()
 	res, err := proger.Resolve(ds, opts)
@@ -197,7 +210,7 @@ func assertIdentical(t *testing.T, what string, local, dist []byte) {
 // quality collection rides entirely on the spec-union dummy sinks.
 func TestFleetByteIdentity(t *testing.T) {
 	ds, _ := proger.GeneratePublications(600, 1)
-	lres, ltr, lq := localRun(t, ds, 0)
+	lres, ltr, lq := localRun(t, ds, 0, nil)
 
 	f := newFleet(t, 0)
 	f.addWorker(ds, 0, WorkerOptions{}, false)
@@ -224,7 +237,7 @@ func TestFleetByteIdentity(t *testing.T) {
 // must land in the trace exactly as in a local faulty run.
 func TestFleetByteIdentityUnderFaults(t *testing.T) {
 	ds, _ := proger.GeneratePublications(600, 1)
-	lres, ltr, lq := localRun(t, ds, 0.3)
+	lres, ltr, lq := localRun(t, ds, 0.3, nil)
 
 	f := newFleet(t, 0)
 	f.addWorker(ds, 0.3, WorkerOptions{}, false)
@@ -236,6 +249,34 @@ func TestFleetByteIdentityUnderFaults(t *testing.T) {
 	assertIdentical(t, "quality", qualityBytes(t, lq), qualityBytes(t, q))
 }
 
+// TestFleetSpeculationAcrossWorkers: on a 10×2-slot cluster at fault
+// rate 0.3 (fault seed 1), speculative backups run on a different
+// worker than the attempts they shadow. The executing worker is
+// observability data that travels beside each result, so the
+// speculation self-check must still find the attempts identical, and
+// the run must match the local one byte for byte.
+func TestFleetSpeculationAcrossWorkers(t *testing.T) {
+	ds, _ := proger.GeneratePublications(600, 1)
+	tune := func(o *proger.Options) {
+		o.Machines, o.SlotsPerMachine = 10, 2
+		o.Faults = proger.NewSeededFaults(1, 0.3)
+	}
+	lres, ltr, lq := localRun(t, ds, 0.3, tune)
+
+	f := newFleet(t, 0)
+	f.tune = tune
+	f.addWorker(ds, 0.3, WorkerOptions{}, false)
+	f.addWorker(ds, 0.3, WorkerOptions{}, false)
+	res, tr, q := f.run(ds, 0.3)
+
+	assertIdentical(t, "result", resultBytes(t, lres), resultBytes(t, res))
+	assertIdentical(t, "trace", traceBytes(t, ltr), traceBytes(t, tr))
+	assertIdentical(t, "quality", qualityBytes(t, lq), qualityBytes(t, q))
+	if !bytes.Contains(traceBytes(t, tr), []byte(`"speculative":true`)) {
+		t.Error("no speculative attempt ran — the test is not exercising speculation")
+	}
+}
+
 // TestLeaseExpiryOnHeartbeatLoss: a worker registers, takes a lease,
 // and goes silent. The master must declare it dead within the TTL,
 // expire the lease, re-lease the task to the worker that joins later,
@@ -244,7 +285,7 @@ func TestFleetByteIdentityUnderFaults(t *testing.T) {
 // asserts after a wall-clock sleep.
 func TestLeaseExpiryOnHeartbeatLoss(t *testing.T) {
 	ds, _ := proger.GeneratePublications(400, 1)
-	lres, _, _ := localRun(t, ds, 0)
+	lres, _, _ := localRun(t, ds, 0, nil)
 
 	f := newFleet(t, 200*time.Millisecond)
 
@@ -321,7 +362,7 @@ func TestLeaseExpiryOnHeartbeatLoss(t *testing.T) {
 // byte-identical.
 func TestWorkerKilledMidRun(t *testing.T) {
 	ds, _ := proger.GeneratePublications(400, 1)
-	lres, ltr, lq := localRun(t, ds, 0)
+	lres, ltr, lq := localRun(t, ds, 0, nil)
 
 	f := newFleet(t, 200*time.Millisecond)
 	kill := make(chan struct{})
@@ -392,7 +433,7 @@ func checkMergedLog(t *testing.T, data []byte) map[string]int {
 // per-process gap-free seq invariant.
 func TestFleetObservability(t *testing.T) {
 	ds, _ := proger.GeneratePublications(600, 1)
-	lres, ltr, lq := localRun(t, ds, 0)
+	lres, ltr, lq := localRun(t, ds, 0, nil)
 
 	var logBuf bytes.Buffer
 	elog := live.NewEventLog(&logBuf)
@@ -480,7 +521,7 @@ func TestFleetObservability(t *testing.T) {
 // heartbeat.
 func TestFleetDeadWorkerPostMortem(t *testing.T) {
 	ds, _ := proger.GeneratePublications(400, 1)
-	lres, _, _ := localRun(t, ds, 0)
+	lres, _, _ := localRun(t, ds, 0, nil)
 
 	var logBuf bytes.Buffer
 	elog := live.NewEventLog(&logBuf)

@@ -116,9 +116,12 @@ type pendingTask struct {
 	ch       chan taskOutcome
 }
 
+// worker is the accepted completion's executor, kept beside the result
+// (never inside it) so attempt comparisons stay blind to placement.
 type taskOutcome struct {
-	res *mapreduce.RemoteTaskResult
-	err error
+	res    *mapreduce.RemoteTaskResult
+	worker int
+	err    error
 }
 
 // rpcMillisBuckets bound the RPC latency histograms. Leases long-poll
@@ -321,16 +324,16 @@ func (j masterJob) Master() bool { return true }
 // RunTask enqueues one task execution and blocks until a worker's
 // first completion — or lease expiry, which the mapreduce dispatch
 // layer retries by calling RunTask again.
-func (j masterJob) RunTask(phase string, task, inputLen int) (*mapreduce.RemoteTaskResult, error) {
+func (j masterJob) RunTask(phase string, task, inputLen int) (*mapreduce.RemoteTaskResult, int, error) {
 	t := &pendingTask{seq: j.seq, phase: phase, task: task, inputLen: inputLen,
 		ch: make(chan taskOutcome, 1)}
 	select {
 	case j.m.tasks <- t:
 	case <-j.m.closed:
-		return nil, errors.New("dist: master closed")
+		return nil, 0, errors.New("dist: master closed")
 	}
 	out := <-t.ch
-	return out.res, out.err
+	return out.res, out.worker, out.err
 }
 
 // Finish records the job's broadcast (or terminal error), waking
@@ -550,7 +553,7 @@ func (m *Master) requeue(t *pendingTask) {
 // Complete reports a leased execution's outcome. First completion
 // wins: an expired (re-leased) lease's late completion is discarded.
 // An accepted completion is attributed to the lease's worker — in the
-// fleet ledger, and on the result itself (Result.Worker), so every
+// fleet ledger, and beside the result handed to RunTask, so every
 // process's live task table can show who ran what.
 func (r *masterRPC) Complete(args *CompleteArgs, _ *CompleteReply) error {
 	defer r.timed(time.Now())
@@ -564,7 +567,6 @@ func (r *masterRPC) Complete(args *CompleteArgs, _ *CompleteReply) error {
 		ws.lastBeat = time.Now()
 	}
 	if ok && args.Err == "" && args.Result != nil {
-		args.Result.Worker = le.worker
 		if ws := m.workers[le.worker]; ws != nil {
 			switch le.task.phase {
 			case mapreduce.RemotePhaseMap:
@@ -587,7 +589,7 @@ func (r *masterRPC) Complete(args *CompleteArgs, _ *CompleteReply) error {
 	case args.Result == nil:
 		le.task.ch <- taskOutcome{err: fmt.Errorf("dist: lease %d completed without a result", args.LeaseID)}
 	default:
-		le.task.ch <- taskOutcome{res: args.Result}
+		le.task.ch <- taskOutcome{res: args.Result, worker: le.worker}
 	}
 	return nil
 }

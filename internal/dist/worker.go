@@ -342,8 +342,8 @@ type workerJob struct {
 
 func (j workerJob) Master() bool { return false }
 
-func (j workerJob) RunTask(string, int, int) (*mapreduce.RemoteTaskResult, error) {
-	return nil, errors.New("dist: workers do not dispatch tasks")
+func (j workerJob) RunTask(string, int, int) (*mapreduce.RemoteTaskResult, int, error) {
+	return nil, 0, errors.New("dist: workers do not dispatch tasks")
 }
 
 func (j workerJob) Finish(*mapreduce.RemoteJobResults, error) error { return nil }

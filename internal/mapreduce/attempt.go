@@ -96,9 +96,9 @@ type taskAttempts struct {
 //
 // The runtime is a shadow simulation layered over the deterministic
 // task functions: every committed output and clean cost comes from a
-// real execution of runMapTask/shuffleForTask/runReduceTask, so
-// injected faults can delay, kill, and duplicate attempts at will
-// without ever being able to perturb Result.
+// real execution of a deterministic task body, so injected faults can
+// delay, kill, and duplicate attempts at will without ever being able
+// to perturb Result.
 type faultRuntime struct {
 	injector faults.Injector
 	policy   RetryPolicy
@@ -215,14 +215,12 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 			fr.live.Retry(live.Phase(phase), task, a, outcomeError)
 			now += cost + fr.backoff(a)
 		case f.Kind == faults.Crash:
-			discardAttemptOutput(out) // valid output, thrown away by the injected crash
-			d := cost * crashFraction
+			d := cost * crashFraction // valid output, thrown away by the injected crash
 			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeCrash, Start: now, Dur: d})
 			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: injected crash", a))
 			fr.live.Retry(live.Phase(phase), task, a, outcomeCrash)
 			now += d + fr.backoff(a)
 		case f.Kind == faults.Hang:
-			discardAttemptOutput(out)
 			d := fr.timeout(cost)
 			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeTimeout, Start: now, Dur: d})
 			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: hung, killed at timeout %v", a, d))
@@ -239,7 +237,6 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 			}
 			if to := fr.timeout(cost); dur > to {
 				// Slowed past the attempt timeout: killed like a hang.
-				discardAttemptOutput(out)
 				ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeTimeout, Start: now, Dur: to})
 				attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: straggling, killed at timeout %v", a, to))
 				fr.live.Retry(live.Phase(phase), task, a, outcomeTimeout)
@@ -261,73 +258,6 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 	return zero, 0, ta, err
 }
 
-// runPhase executes one engine phase of n tasks on the worker pool.
-// With fr nil every task runs exactly once and runPool aggregates any
-// failures; with the attempt runtime active each task runs its retry
-// ladder and stragglers get a speculative pass. Either way the
-// committed outputs and clean costs — returned indexed by task — are
-// byte-identical to a fault-free run, because commits only ever carry
-// what the deterministic task function produced.
-func runPhase[T any](fr *faultRuntime, phase faults.Phase, workers, n int,
-	exec func(i int) (T, costmodel.Units, error)) ([]T, []costmodel.Units, error) {
-	outs := make([]T, n)
-	costs := make([]costmodel.Units, n)
-	if fr == nil {
-		err := runPool(workers, n, func(i int) error {
-			out, cost, err := exec(i)
-			if err != nil {
-				return err
-			}
-			outs[i], costs[i] = out, cost
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return outs, costs, nil
-	}
-	attempts := fr.beginPhase(phase, n)
-	err := runPool(workers, n, func(i int) error {
-		out, cost, ta, err := runTaskAttempts(fr, phase, i, func() (T, costmodel.Units, error) {
-			return exec(i)
-		})
-		attempts[i] = ta
-		if err != nil {
-			return err
-		}
-		outs[i], costs[i] = out, cost
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if fr.policy.Speculation {
-		if err := speculatePhase(fr, phase, workers, outs, costs, exec); err != nil {
-			return nil, nil, err
-		}
-	}
-	return outs, costs, nil
-}
-
-// speculatePhase runs the straggler pass for the barrier engine: once
-// every task is in, each is checked against the phase-wide straggler
-// threshold on the worker pool. The pipelined engine wires the same
-// per-task check (speculateTask) into its graph as non-blocking nodes.
-func speculatePhase[T any](fr *faultRuntime, phase faults.Phase, workers int,
-	outs []T, costs []costmodel.Units, exec func(i int) (T, costmodel.Units, error)) error {
-	n := len(outs)
-	if n < 2 {
-		return nil
-	}
-	thr := quantile(costs, fr.policy.SpeculationQuantile)
-	if thr <= 0 {
-		return nil
-	}
-	return runPool(workers, n, func(i int) error {
-		return speculateTask(fr, phase, i, thr, outs[i], costs[i], exec)
-	})
-}
-
 // speculateTask runs the straggler check for one committed task: if
 // its committed attempt ran longer on the attempt timeline than thr
 // (the phase's SpeculationQuantile of clean task costs — the same
@@ -340,7 +270,7 @@ func speculatePhase[T any](fr *faultRuntime, phase faults.Phase, workers int,
 // committed output always stands either way (a winning backup is, by
 // the verified determinism, the same bytes), so speculation can never
 // block or perturb downstream consumers.
-func speculateTask[T any](fr *faultRuntime, phase faults.Phase, i int, thr costmodel.Units,
+func speculateTask[T attemptOutput[T]](fr *faultRuntime, phase faults.Phase, i int, thr costmodel.Units,
 	out T, cost costmodel.Units, exec func(i int) (T, costmodel.Units, error)) error {
 	ta := fr.phases[phase][i]
 	if ta == nil || ta.committed < 0 || ta.commitDur <= thr {
@@ -350,9 +280,6 @@ func speculateTask[T any](fr *faultRuntime, phase faults.Phase, i int, thr costm
 	f := fr.decide(phase, i, specIdx)
 	fr.live.Speculate(live.Phase(phase), i)
 	specOut, specCost, err := exec(i)
-	// Whatever the race outcome, the speculative output never replaces
-	// the committed one — release any host resources it holds.
-	defer discardAttemptOutput(specOut)
 	launch := ta.commitStart + thr // straggling detected thr units in
 	rec := attemptRecord{Attempt: specIdx, Speculative: true, Start: launch}
 	switch {
@@ -378,7 +305,7 @@ func speculateTask[T any](fr *faultRuntime, phase faults.Phase, i int, thr costm
 			// timeline and the original is killed. Its output is verified
 			// byte-identical, so the already-published task output needs
 			// no replacement.
-			if specCost != cost || !attemptOutputsEqual(specOut, out) {
+			if specCost != cost || !specOut.attemptEqual(out) {
 				return fmt.Errorf("mapreduce: %s task %d speculative attempt diverged from committed attempt", phase, i)
 			}
 			ta.records[ta.committed].Killed = true
@@ -487,7 +414,7 @@ func lostRetryBudget(cfg *Config) int {
 	return defaultMaxRetries
 }
 
-// retryLost re-executes a dispatch while it keeps failing with
+// retryLost re-executes a remote dispatch while it keeps failing with
 // ErrTaskLost, up to budget re-dispatches. Lost leases are retried
 // *below* runTaskAttempts deliberately: a lease expiry is wall-clock
 // host chaos that cannot be placed on the simulated attempt timeline,
@@ -495,11 +422,11 @@ func lostRetryBudget(cfg *Config) int {
 // Re-executing the deterministic task body instead yields the exact
 // output the first lease would have produced, keeping Result, trace,
 // and quality bytes identical to a loss-free run.
-func retryLost[T any](budget int, exec func() (T, error)) (T, error) {
+func retryLost(budget int, exec func() (*RemoteTaskResult, int, error)) (*RemoteTaskResult, int, error) {
 	for attempt := 0; ; attempt++ {
-		out, err := exec()
+		out, worker, err := exec()
 		if err == nil || !errors.Is(err, ErrTaskLost) || attempt >= budget {
-			return out, err
+			return out, worker, err
 		}
 	}
 }

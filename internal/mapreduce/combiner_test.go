@@ -6,6 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"proger/internal/membudget"
+	"proger/internal/obs"
 )
 
 // sumCombiner adds up "N" values into a single record.
@@ -188,8 +191,9 @@ func TestCombinerEmptyPartitions(t *testing.T) {
 func TestSpillingShuffleEquivalence(t *testing.T) {
 	plain := wordCountConfig(2)
 	spill := wordCountConfig(2)
-	spill.ShuffleMemLimit = 2 // force spills
+	spill.MemBudget = membudget.New(64) // force spills
 	spill.SpillDir = t.TempDir()
+	spill.Metrics = obs.NewRegistry()
 	a, err := Run(plain, wordCountInput(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -203,5 +207,8 @@ func TestSpillingShuffleEquivalence(t *testing.T) {
 	}
 	if a.End != b.End {
 		t.Error("spilling shuffle changed simulated timing (it must not)")
+	}
+	if spill.Metrics.Counter(CounterBudgetForcedSpills).Value() == 0 {
+		t.Error("the budget forced no spills")
 	}
 }

@@ -17,12 +17,6 @@ const (
 	// map-side combiner's input and surviving output records.
 	CounterCombineInRecords  = "mr.combine.in_records"
 	CounterCombineOutRecords = "mr.combine.out_records"
-	// CounterShuffleSpilledRuns counts sorted runs routed through the
-	// external spill-and-merge sorter (0 unless ShuffleMemLimit forced
-	// spilling). Spilling is a host-machine knob, so this counter is
-	// reported only through Config.Metrics — never Result.Counters,
-	// which must stay bit-for-bit identical across host configurations.
-	CounterShuffleSpilledRuns = "mr.shuffle.spilled_runs"
 	// CounterReduceInRecords and CounterReduceInGroups count reduce-task
 	// input records and distinct key groups.
 	CounterReduceInRecords = "mr.reduce.in_records"

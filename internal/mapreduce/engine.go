@@ -1,18 +1,14 @@
 package mapreduce
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"proger/internal/costmodel"
 	"proger/internal/faults"
-	"proger/internal/membudget"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
@@ -23,7 +19,8 @@ import (
 // submitted (chain jobs by passing the previous job's End).
 //
 // Execution is deterministic: identical inputs and config produce an
-// identical Result, including all timestamps, regardless of Workers.
+// identical Result, including all timestamps, regardless of Workers,
+// Transport, MemBudget, or injected faults.
 func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -52,32 +49,19 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		fr.live = lj
 	}
 
-	// Task execution: both engines fill an identical phaseOutputs — the
-	// barrier engine with three phase-pool passes, the pipelined engine
-	// with a dependency-driven task graph — so everything below this
-	// point (the simulated schedule, Result, spans, metrics, quality)
-	// is engine-independent by construction.
-	var (
-		po  *phaseOutputs
-		err error
-	)
-	if rt, ok := transportOf(&cfg).(RemoteTransport); ok {
-		po, err = runRemoteJob(&cfg, rt, fr, lj, workers, splits)
-	} else if cfg.Execution == ExecBarrier {
-		po, err = runBarrierEngine(&cfg, fr, lj, workers, splits)
+	// Task execution fills phaseOutputs — through the one task graph on
+	// every transport — so everything below this point (the simulated
+	// schedule, Result, spans, metrics, quality) is derived from the
+	// committed task outputs alone.
+	po := newPhaseOutputs(&cfg)
+	// Budget stores hold host resources (spill files, budget accounts);
+	// settle them even when the job errors out partway.
+	defer po.closeStores()
+	var err error
+	if rt, ok := cfg.Transport.(RemoteTransport); ok {
+		err = runRemoteJob(&cfg, rt, fr, lj, workers, splits, po)
 	} else {
-		po, err = runPipelinedEngine(&cfg, fr, lj, workers, splits)
-	}
-	if po != nil {
-		// Reduce inputs may hold host resources (spill files, budget
-		// accounts); settle them even when an engine errors out partway.
-		defer func() {
-			for _, s := range po.shufRes {
-				if s.in != nil {
-					s.in.Close()
-				}
-			}
-		}()
+		err = runLocalJob(&cfg, fr, lj, workers, splits, po)
 	}
 	if err != nil {
 		lj.End(err)
@@ -85,25 +69,15 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	}
 	mapRes, mapCosts := po.mapRes, po.mapCosts
 	reduceRes, reduceCosts := po.reduceRes, po.reduceCosts
-	mapWall, shufWall, reduceWall := po.mapWall, po.shufWall, po.reduceWall
 
 	jobStart := startAt
 	mapPhaseStart := jobStart + cfg.Cost.JobSetup
 	mapStarts, mapSlots, mapEnd := scheduleTasks(mapCosts, cfg.Cluster.Slots(), mapPhaseStart)
 
 	reduceLens := make([]int, cfg.NumReduceTasks)
-	spilledRuns := make([]int64, cfg.NumReduceTasks)
 	for r, s := range po.shufRes {
-		if s.in != nil {
-			reduceLens[r] = s.in.Len()
-		}
-		spilledRuns[r] = s.spilledRuns
+		reduceLens[r] = s.in.Len()
 	}
-	reduceOuts := make([][]TimedKV, cfg.NumReduceTasks)
-	for i, r := range reduceRes {
-		reduceOuts[i] = r.out
-	}
-
 	reduceStarts, reduceSlots, end := scheduleTasks(reduceCosts, cfg.Cluster.Slots(), mapEnd)
 
 	// Publish quality observations: rebase each committed task's local
@@ -124,13 +98,13 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 
 	// Stamp global times and flatten output in (task, emission) order.
 	var total int
-	for _, out := range reduceOuts {
-		total += len(out)
+	for _, r := range reduceRes {
+		total += len(r.out)
 	}
 	output := make([]TimedKV, 0, total)
-	for r, out := range reduceOuts {
-		for _, kv := range out {
-			kv.Global = reduceStarts[r] + kv.Local
+	for i, r := range reduceRes {
+		for _, kv := range r.out {
+			kv.Global = reduceStarts[i] + kv.Local
 			output = append(output, kv)
 		}
 	}
@@ -157,37 +131,19 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	}
 
 	if tracing {
-		mapSpans := make([][]obs.Span, cfg.NumMapTasks)
-		for i, r := range mapRes {
-			mapSpans[i] = r.spans
-		}
-		reduceSpans := make([][]obs.Span, cfg.NumReduceTasks)
-		for i, r := range reduceRes {
-			reduceSpans[i] = r.spans
-		}
-		emitJobSpans(&cfg, fr, res, splits, reduceLens, spilledRuns,
-			mapSpans, reduceSpans, mapWall, shufWall, reduceWall)
+		emitJobSpans(&cfg, fr, res, splits, reduceLens, po)
 	}
 	if m := cfg.Metrics; m != nil {
 		m.AddCounters(counters)
-		// Spill counts depend on host knobs (ShuffleMemLimit), so they
-		// live in the metrics registry, not in the deterministic
-		// Result.Counters.
-		var spilledTotal int64
-		for _, n := range spilledRuns {
-			spilledTotal += n
-		}
-		m.Counter(CounterShuffleSpilledRuns).Add(spilledTotal)
-		if cfg.MemBudget != nil {
-			// Budget-forced spill stats are pure memory-pressure artifacts
-			// of the host — registry-only, like the spill counts above.
+		// Budget-forced spill stats are pure memory-pressure artifacts of
+		// the host, so they live in the metrics registry, not in the
+		// deterministic Result.Counters.
+		if po.stores != nil {
 			var forced, bytes int64
-			for _, s := range po.shufRes {
-				if st, ok := s.in.(*spillStore); ok {
-					f, b := st.budgetStats()
-					forced += f
-					bytes += b
-				}
+			for _, st := range po.stores {
+				f, b := st.budgetStats()
+				forced += f
+				bytes += b
 			}
 			m.Counter(CounterBudgetForcedSpills).Add(forced)
 			m.Counter(CounterBudgetSpilledBytes).Add(bytes)
@@ -216,179 +172,165 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 }
 
 // phaseOutputs is everything task execution produces, indexed by task.
-// Both engines (barrier and pipelined) must fill it identically: the
-// finalize half of Run derives the simulated schedule, Result, spans,
-// metrics, and quality exports from it, which is what keeps the two
-// engines byte-equivalent.
+// Each graph node writes only its own task's slots; the finalize half
+// of Run derives the simulated schedule, Result, spans, metrics, and
+// quality exports from the committed entries.
 type phaseOutputs struct {
 	mapRes      []mapTaskResult
 	mapCosts    []costmodel.Units
 	shufRes     []shuffleTaskResult
+	shufCosts   []costmodel.Units
 	reduceRes   []reduceTaskResult
 	reduceCosts []costmodel.Units
+	// stores holds each partition's budget-governed reduce input (nil
+	// without a MemBudget). Committed map runs go straight into them, so
+	// the budget manager, not the engine, decides what stays resident.
+	stores []*spillStore
 	// Host wall-clock measurements per stage; allocated (and recorded)
 	// only when tracing. Wall data never feeds the simulated timeline.
 	mapWall, shufWall, reduceWall []wallSpan
 }
 
 func newPhaseOutputs(cfg *Config) *phaseOutputs {
-	po := &phaseOutputs{}
+	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
+	po := &phaseOutputs{
+		mapRes:      make([]mapTaskResult, M),
+		mapCosts:    make([]costmodel.Units, M),
+		shufRes:     make([]shuffleTaskResult, R),
+		shufCosts:   make([]costmodel.Units, R),
+		reduceRes:   make([]reduceTaskResult, R),
+		reduceCosts: make([]costmodel.Units, R),
+	}
 	if cfg.Trace != nil {
-		po.mapWall = make([]wallSpan, cfg.NumMapTasks)
-		po.shufWall = make([]wallSpan, cfg.NumReduceTasks)
-		po.reduceWall = make([]wallSpan, cfg.NumReduceTasks)
+		po.mapWall = make([]wallSpan, M)
+		po.shufWall = make([]wallSpan, R)
+		po.reduceWall = make([]wallSpan, R)
 	}
 	return po
 }
 
-// mapExec, shuffleExec, and reduceExec build the deterministic
-// per-task execution closures shared by the barrier engine, the
-// pipelined engine, and the speculation pass. Each records a host wall
-// span when `wall` is non-nil (tracing); re-executions (retries,
-// speculation) overwrite the wall measurement, never the committed
-// deterministic output. Live task-state publication sits here too —
-// the one wrap point both engines and every attempt share — so each
-// *execution* (first attempt, retry, speculative backup) reports its
-// own start/done/failed transition.
-func mapExec(cfg *Config, lj *live.Job, splits [][]KeyValue, wall []wallSpan) func(i int) (mapTaskResult, costmodel.Units, error) {
-	return func(i int) (mapTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseMap, i)
-		var w0 time.Time
-		if wall != nil {
-			w0 = time.Now()
-		}
-		out, cost, counters, spans, err := runMapTask(cfg, i, splits[i])
-		if err != nil {
-			lj.TaskFailed(live.PhaseMap, i, err)
-			return mapTaskResult{}, 0, err
-		}
-		if wall != nil {
-			wall[i] = wallSpan{w0, time.Since(w0)}
-		}
-		lj.TaskDone(live.PhaseMap, i, float64(cost), len(splits[i]))
-		return mapTaskResult{out: out, counters: counters, spans: spans}, cost, nil
+// closeStores releases the budget stores' spill files and accounts.
+func (po *phaseOutputs) closeStores() {
+	for _, st := range po.stores {
+		st.Close()
 	}
 }
 
-func shuffleExec(cfg *Config, lj *live.Job, mapOuts [][][]KeyValue, wall []wallSpan) func(r int) (shuffleTaskResult, costmodel.Units, error) {
-	return func(r int) (shuffleTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseShuffle, r)
-		var w0 time.Time
-		if wall != nil {
-			w0 = time.Now()
+// commitMap hands map task m's committed runs to the partition stores
+// (budget mode only) and drops the task's own references: from here on,
+// residency of its records is the budget manager's call.
+func (po *phaseOutputs) commitMap(m int) error {
+	if po.stores == nil {
+		return nil
+	}
+	for r, st := range po.stores {
+		if err := st.addRun(m, po.mapRes[m].out[r]); err != nil {
+			return err
 		}
-		in, spilled, err := shuffleForTask(cfg, mapOuts, r)
-		if err != nil {
-			lj.TaskFailed(live.PhaseShuffle, r, err)
-			return shuffleTaskResult{}, 0, err
+	}
+	po.mapRes[m].out = nil
+	return nil
+}
+
+// shuffleInput assembles partition r's reduce input once every map
+// task has committed: the budget store the map tasks fed, or the stable
+// k-way merge of their pre-sorted in-memory runs.
+func (po *phaseOutputs) shuffleInput(r int) reduceInput {
+	if po.stores != nil {
+		return po.stores[r]
+	}
+	runs := make([][]KeyValue, 0, len(po.mapRes))
+	n := 0
+	for _, mr := range po.mapRes {
+		if run := mr.out[r]; len(run) > 0 {
+			runs = append(runs, run)
+			n += len(run)
 		}
-		if wall != nil {
-			wall[r] = wallSpan{w0, time.Since(w0)}
+	}
+	return memInput{kvs: mergeSortedRuns(runs, n)}
+}
+
+// runLocalJob executes the job in this process: the graph's task
+// bodies call the deterministic task functions directly.
+func runLocalJob(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue, po *phaseOutputs) error {
+	if cfg.MemBudget != nil {
+		po.stores = make([]*spillStore, cfg.NumReduceTasks)
+		for r := range po.stores {
+			po.stores[r] = newSpillStore(cfg, r)
 		}
+	}
+	mExec := observed(lj, live.PhaseMap, po.mapWall, func(m int) (mapTaskResult, costmodel.Units, int, error) {
+		out, cost, counters, spans, err := runMapTask(cfg, m, splits[m])
+		lens := make([]int, len(out))
+		for r, part := range out {
+			lens[r] = len(part)
+		}
+		return mapTaskResult{out: out, partLens: lens, counters: counters, spans: spans}, cost, len(splits[m]), err
+	})
+	sExec := observed(lj, live.PhaseShuffle, po.shufWall, func(r int) (shuffleTaskResult, costmodel.Units, int, error) {
 		// The merge has no scheduled cost of its own (the reduce tasks
 		// price shuffling on the simulated clock); the attempt runtime
 		// keys timeouts and speculation off its simulated sort cost.
-		cost := cfg.Cost.ShuffleSortCost(in.Len())
-		lj.SpilledRuns(r, spilled)
-		lj.TaskDone(live.PhaseShuffle, r, float64(cost), in.Len())
-		return shuffleTaskResult{in: in, spilledRuns: spilled}, cost, nil
-	}
+		in := po.shuffleInput(r)
+		return shuffleTaskResult{in: in}, cfg.Cost.ShuffleSortCost(in.Len()), in.Len(), nil
+	})
+	rExec := observed(lj, live.PhaseReduce, po.reduceWall, func(i int) (reduceTaskResult, costmodel.Units, int, error) {
+		in := po.shufRes[i].in
+		out, cost, counters, spans, qobs, err := runReduceTask(cfg, i, in)
+		return reduceTaskResult{out: out, counters: counters, spans: spans, qobs: qobs}, cost, in.Len(), err
+	})
+	return runJobGraph(cfg, fr, workers, po, mExec, sExec, rExec)
 }
 
-func reduceExec(cfg *Config, lj *live.Job, shufRes []shuffleTaskResult, wall []wallSpan) func(i int) (reduceTaskResult, costmodel.Units, error) {
-	return func(i int) (reduceTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseReduce, i)
+// observed wraps one phase's task body with the bookkeeping every
+// execution shares, whichever transport runs it: the live
+// start/done/failed transition (each execution — first attempt, retry,
+// speculative backup — reports its own) and, when tracing, the host
+// wall span. Re-executions overwrite the wall measurement, never the
+// committed deterministic output. body returns the record count the
+// live task table shows.
+func observed[T any](lj *live.Job, p live.Phase, wall []wallSpan,
+	body func(i int) (T, costmodel.Units, int, error)) func(i int) (T, costmodel.Units, error) {
+	return func(i int) (T, costmodel.Units, error) {
+		lj.TaskStart(p, i)
 		var w0 time.Time
 		if wall != nil {
 			w0 = time.Now()
 		}
-		out, cost, counters, spans, qobs, err := runReduceTask(cfg, i, shufRes[i].in)
+		out, cost, records, err := body(i)
 		if err != nil {
-			lj.TaskFailed(live.PhaseReduce, i, err)
-			return reduceTaskResult{}, 0, err
+			lj.TaskFailed(p, i, err)
+			var zero T
+			return zero, 0, err
 		}
 		if wall != nil {
 			wall[i] = wallSpan{w0, time.Since(w0)}
 		}
-		records := 0
-		if shufRes[i].in != nil {
-			records = shufRes[i].in.Len()
-		}
-		lj.TaskDone(live.PhaseReduce, i, float64(cost), records)
-		return reduceTaskResult{out: out, counters: counters, spans: spans, qobs: qobs}, cost, nil
+		lj.TaskDone(p, i, float64(cost), records)
+		return out, cost, nil
 	}
-}
-
-// runBarrierEngine is the reference execution: three fully barriered
-// phases (map → shuffle → reduce), each a worker-pool pass over its
-// tasks. The shuffle stage stably k-way merges each partition's
-// pre-sorted map runs (ties to the lower map-task index, reproducing
-// the order a stable sort of the map-order concatenation would give) —
-// in memory, or through the external spill-and-merge sorter when over
-// the memory limit.
-func runBarrierEngine(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue) (*phaseOutputs, error) {
-	po := newPhaseOutputs(cfg)
-	var err error
-	po.mapRes, po.mapCosts, err = runPhase(fr, faults.Map, workers, cfg.NumMapTasks,
-		mapExec(cfg, lj, splits, po.mapWall))
-	if err != nil {
-		return po, err
-	}
-	mapOuts := make([][][]KeyValue, cfg.NumMapTasks) // [task][partition][]kv
-	for i, r := range po.mapRes {
-		mapOuts[i] = r.out
-	}
-	// The barrier engine materializes every map output before the shuffle
-	// starts — charge that residency so the budget can squeeze other
-	// holders (shuffle stores, blocking stats) to compensate. The account
-	// is unspillable (the engine's structure requires the bytes) and is
-	// settled once the shuffle stores own the data.
-	var mapAcct *membudget.Account
-	if cfg.MemBudget != nil {
-		mapAcct = cfg.MemBudget.NewAccount(cfg.Name+"/map-output", nil)
-		var held int64
-		for _, mo := range mapOuts {
-			for _, p := range mo {
-				held += kvRunBytes(p)
-			}
-		}
-		if err := mapAcct.Charge(held); err != nil {
-			return po, err
-		}
-	}
-	defer mapAcct.Close()
-	po.shufRes, _, err = runPhase(fr, faults.Shuffle, workers, cfg.NumReduceTasks,
-		shuffleExec(cfg, lj, mapOuts, po.shufWall))
-	if err != nil {
-		return po, err
-	}
-	mapAcct.Close()
-	po.reduceRes, po.reduceCosts, err = runPhase(fr, faults.Reduce, workers, cfg.NumReduceTasks,
-		reduceExec(cfg, lj, po.shufRes, po.reduceWall))
-	if err != nil {
-		return po, err
-	}
-	return po, nil
 }
 
 // mapTaskResult, shuffleTaskResult, and reduceTaskResult bundle each
-// phase's deterministic per-task outcome for the attempt runtime —
-// committed outputs are compared byte-for-byte across attempts during
-// speculation, so host wall measurements stay outside.
+// phase's per-task outcome for the attempt runtime. Committed outputs
+// are compared across attempts during speculation (attemptEqual), over
+// the deterministic fields only: worker, the executor attribution a
+// remote transport reports beside the result, is observability data
+// and never part of the comparison.
 type mapTaskResult struct {
+	// out holds the pre-sorted run per partition. It is nil on a remote
+	// master (runs live in shared files) and once budget stores own the
+	// runs; partLens keeps the per-partition record counts either way.
 	out      [][]KeyValue
+	partLens []int
 	counters Counters
 	spans    []obs.Span
-	// remote carries the wire-form result when the task executed on a
-	// remote transport (nil for local execution); the master's graph
-	// nodes collect these for the end-of-job broadcast.
-	remote *RemoteTaskResult
+	worker   int
 }
 
 type shuffleTaskResult struct {
-	in          reduceInput
-	spilledRuns int64
-	remote      *RemoteTaskResult
+	in     reduceInput
+	worker int
 }
 
 type reduceTaskResult struct {
@@ -396,7 +338,7 @@ type reduceTaskResult struct {
 	counters Counters
 	spans    []obs.Span
 	qobs     []quality.BlockObs
-	remote   *RemoteTaskResult
+	worker   int
 }
 
 // wallSpan is a host wall-clock measurement of one engine stage.
@@ -414,8 +356,7 @@ type wallSpan struct {
 // on the simulated clock as task-local "shuffle" spans). With the
 // attempt runtime active, every task attempt additionally gets an
 // "attempt" span on the shadow attempt timeline.
-func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValue, reduceLens []int, spilledRuns []int64,
-	mapSpans, reduceSpans [][]obs.Span, mapWall, shufWall, reduceWall []wallSpan) {
+func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValue, reduceLens []int, po *phaseOutputs) {
 	tr := cfg.Trace
 	pid := tr.PID(cfg.Name)
 	rebase := func(spans []obs.Span, tid int, start costmodel.Units) {
@@ -430,18 +371,18 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 			Cat: "map", Name: fmt.Sprintf("map %d", i),
 			PID: pid, TID: res.MapSlots[i],
 			Start: res.MapStarts[i], Dur: cost,
-			WallStart: mapWall[i].start, WallDur: mapWall[i].dur,
+			WallStart: po.mapWall[i].start, WallDur: po.mapWall[i].dur,
 			Args: []obs.Arg{obs.A("records", len(splits[i]))},
 		})
-		rebase(mapSpans[i], res.MapSlots[i], res.MapStarts[i])
+		rebase(po.mapRes[i].spans, res.MapSlots[i], res.MapStarts[i])
 	}
 	for r := range reduceLens {
 		tr.Add(obs.Span{
 			Cat: "shuffle", Name: fmt.Sprintf("shuffle merge r%d (host)", r),
 			PID: pid, TID: res.ReduceSlots[r],
 			Start: res.MapEnd, Dur: 0,
-			WallStart: shufWall[r].start, WallDur: shufWall[r].dur,
-			Args: []obs.Arg{obs.A("records", reduceLens[r]), obs.A("spilled_runs", spilledRuns[r])},
+			WallStart: po.shufWall[r].start, WallDur: po.shufWall[r].dur,
+			Args: []obs.Arg{obs.A("records", reduceLens[r])},
 		})
 	}
 	for i, cost := range res.ReduceTaskCosts {
@@ -449,10 +390,10 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 			Cat: "reduce", Name: fmt.Sprintf("reduce %d", i),
 			PID: pid, TID: res.ReduceSlots[i],
 			Start: res.ReduceStarts[i], Dur: cost,
-			WallStart: reduceWall[i].start, WallDur: reduceWall[i].dur,
+			WallStart: po.reduceWall[i].start, WallDur: po.reduceWall[i].dur,
 			Args: []obs.Arg{obs.A("records", reduceLens[i])},
 		})
-		rebase(reduceSpans[i], res.ReduceSlots[i], res.ReduceStarts[i])
+		rebase(po.reduceRes[i].spans, res.ReduceSlots[i], res.ReduceStarts[i])
 	}
 	if fr != nil {
 		fr.emitAttemptSpans(tr, pid, faults.Map, func(t int) (costmodel.Units, int) {
@@ -465,73 +406,6 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 			return res.ReduceStarts[t], res.ReduceSlots[t]
 		})
 	}
-}
-
-// shuffleForTask assembles reduce task r's sorted input by merging the
-// pre-sorted per-partition runs the map tasks produced, also reporting
-// how many runs went through the deterministic (ShuffleMemLimit-driven)
-// spiller. Storage mode is a host decision with no effect on the record
-// sequence: an in-memory merge, a forced-to-disk store (ShuffleMemLimit
-// exceeded), or a budget-governed store that buffers in memory until
-// the process-wide manager squeezes it out.
-func shuffleForTask(cfg *Config, mapOuts [][][]KeyValue, r int) (reduceInput, int64, error) {
-	var n, nonEmpty int
-	for m := 0; m < cfg.NumMapTasks; m++ {
-		if len(mapOuts[m][r]) > 0 {
-			nonEmpty++
-			n += len(mapOuts[m][r])
-		}
-	}
-	if nonEmpty == 1 && cfg.MemBudget == nil {
-		// Single-contributor partition: the run is already the reduce
-		// input, so skip the merge (and spill) machinery entirely. The
-		// run is aliased, not copied — reduce inputs are read-only.
-		for m := 0; m < cfg.NumMapTasks; m++ {
-			if len(mapOuts[m][r]) > 0 {
-				return memInput{kvs: mapOuts[m][r]}, 0, nil
-			}
-		}
-	}
-	if cfg.ShuffleMemLimit > 0 && n > cfg.ShuffleMemLimit && nonEmpty > 1 {
-		// Deterministic spill: every run goes to disk, exactly as many
-		// runs as contribute — the count the trace reports.
-		st := newSpillStore(cfg, nil, r, true)
-		if err := addPartitionRuns(st, cfg, mapOuts, r); err != nil {
-			st.Close()
-			return nil, 0, err
-		}
-		return st, st.spilledRuns, nil
-	}
-	if cfg.MemBudget != nil {
-		// Budget-governed store: runs buffer in memory charged against
-		// the process-wide budget; pressure (not this job's config)
-		// decides what actually reaches disk, so the deterministic
-		// spilled-run count stays zero.
-		st := newSpillStore(cfg, cfg.MemBudget, r, false)
-		if err := addPartitionRuns(st, cfg, mapOuts, r); err != nil {
-			st.Close()
-			return nil, 0, err
-		}
-		return st, 0, nil
-	}
-	runs := make([][]KeyValue, 0, nonEmpty)
-	for m := 0; m < cfg.NumMapTasks; m++ {
-		if len(mapOuts[m][r]) > 0 {
-			runs = append(runs, mapOuts[m][r])
-		}
-	}
-	return memInput{kvs: mergeSortedRuns(runs, n)}, 0, nil
-}
-
-// addPartitionRuns feeds every map task's partition-r run into the
-// store, tagged with its map index as merge priority.
-func addPartitionRuns(st *spillStore, cfg *Config, mapOuts [][][]KeyValue, r int) error {
-	for m := 0; m < cfg.NumMapTasks; m++ {
-		if err := st.addRun(m, mapOuts[m][r]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // mergeSortedRuns stably merges key-sorted runs given in priority
@@ -607,11 +481,7 @@ func mergeSortedRuns(runs [][]KeyValue, total int) []KeyValue {
 
 // mergeTwo stably merges two key-sorted runs; a takes ties (it must
 // hold the lower map-task range). An empty side aliases the other run
-// unchanged — reduce inputs are read-only, so sharing is safe — which
-// makes single-contributor merges free. Pairwise merges of adjacent
-// map-index ranges compose to exactly the k-way stable merge order,
-// which is what lets the pipelined engine assemble a partition
-// incrementally without changing a byte of the result.
+// unchanged — reduce inputs are read-only, so sharing is safe.
 func mergeTwo(a, b []KeyValue) []KeyValue {
 	if len(a) == 0 {
 		return b
@@ -818,10 +688,7 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 		quality:   cfg.Quality != nil,
 		lv:        cfg.Live,
 	}
-	n := 0
-	if in != nil {
-		n = in.Len()
-	}
+	n := in.Len()
 	ctx.Charge(cfg.Cost.TaskStartup)
 	// Framework shuffle cost: reading and merge-sorting this task's
 	// input. (The real sort already happened in Run; here we only
@@ -890,60 +757,4 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 	ctx.Inc(CounterReduceInGroups, int64(groups))
 	ctx.Inc(CounterReduceOutRecords, int64(len(emitter.out)))
 	return emitter.out, ctx.Now(), ctx.counters, ctx.spans, ctx.qobs, nil
-}
-
-// runPool runs fn(0..n-1) on up to `workers` goroutines. No new task
-// index is dispatched after the first failure — the phase
-// short-circuits instead of draining all n tasks — but already-started
-// tasks are allowed to finish and *every* failure is kept: the return
-// value joins all task errors (errors.Join) in task-index order, so a
-// multi-task failure is attributable task by task rather than
-// collapsing to whichever error won the race. A panicking task is
-// converted into a task failure rather than crashing the whole engine —
-// the moral equivalent of a Hadoop task attempt dying without taking
-// the job tracker down.
-func runPool(workers, n int, fn func(i int) error) error {
-	safe := func(i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("mapreduce: task %d panicked: %v", i, r)
-			}
-		}()
-		return fn(i)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := safe(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
-	)
-	taskErrs := make([]error, n) // each worker writes only its own indices
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := safe(i); err != nil {
-					taskErrs[i] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for i := 0; i < n && !failed.Load(); i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return errors.Join(taskErrs...)
 }

@@ -1,0 +1,333 @@
+package mapreduce
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"sync"
+
+	"proger/internal/costmodel"
+	"proger/internal/faults"
+)
+
+// This file implements the one way every job executes: a static
+// dependency DAG run on one worker pool. A node is dispatched the
+// moment its last dependency completes. The graph per job:
+//
+//	map m  ──┬─▶ shuffle r (gated on every map) ──▶ reduce r
+//	         └─▶ (speculation gate ──▶ per-task speculation checks)
+//
+// Determinism is preserved because nothing about real execution order
+// is observable: every node writes only its own task-indexed slots of
+// phaseOutputs, and the simulated schedule, Result, spans, metrics,
+// and quality exports are all derived afterwards from those outputs.
+// The local and remote transports build the same graph through
+// runJobGraph; they differ only in the task bodies they pass.
+
+// nodePhase ranks graph nodes for deterministic error reporting, in
+// job phase order.
+type nodePhase int
+
+const (
+	nodeMap nodePhase = iota
+	nodeShuffle
+	nodeReduce
+	nodeSpecMap
+	nodeSpecShuffle
+	nodeSpecReduce
+)
+
+// nodeKey identifies a node's (phase, task) for error attribution;
+// seq breaks ties between nodes sharing a key.
+type nodeKey struct {
+	phase nodePhase
+	task  int
+}
+
+// dagNode is one schedulable unit of engine work.
+type dagNode struct {
+	key nodeKey
+	seq int // insertion order; error-ordering tie-break
+	run func() error
+	// waits counts unmet dependencies; mutated only under dagRun.mu.
+	waits int
+	succs []*dagNode
+}
+
+// taskGraph is a static dependency DAG. Build it single-threaded with
+// node/edge, then call execute exactly once.
+type taskGraph struct {
+	nodes []*dagNode
+}
+
+func (g *taskGraph) node(key nodeKey, run func() error) *dagNode {
+	n := &dagNode{key: key, seq: len(g.nodes), run: run}
+	g.nodes = append(g.nodes, n)
+	return n
+}
+
+func (g *taskGraph) edge(from, to *dagNode) {
+	from.succs = append(from.succs, to)
+	to.waits++
+}
+
+// dagRun is the mutable state of one graph execution. Ready nodes
+// flow through the buffered `ready` channel (capacity = node count,
+// so enqueues never block); bookkeeping is guarded by mu. Completion
+// of a node happens-before dispatch of its successors, which is what
+// makes single-writer task slots safe to read downstream without
+// atomics.
+type dagRun struct {
+	ready    chan *dagNode
+	done     chan struct{}
+	mu       sync.Mutex
+	undone   int // nodes not yet completed
+	inflight int // nodes currently executing
+	failed   bool
+	failures []nodeFailure
+}
+
+type nodeFailure struct {
+	key nodeKey
+	seq int
+	err error
+}
+
+// execute runs the graph on up to `workers` goroutines. After the
+// first failure no further node is dispatched (in-flight nodes drain),
+// and every collected failure is reported, joined in deterministic
+// (phase, task, insertion) order, so a multi-task failure is
+// attributable task by task. A panicking node becomes a node failure
+// rather than a dead engine — the moral equivalent of a Hadoop task
+// attempt dying without taking the job tracker down.
+func (g *taskGraph) execute(workers int) error {
+	if len(g.nodes) == 0 {
+		return nil
+	}
+	if workers > len(g.nodes) {
+		workers = len(g.nodes)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	r := &dagRun{
+		ready:  make(chan *dagNode, len(g.nodes)),
+		done:   make(chan struct{}),
+		undone: len(g.nodes),
+	}
+	for _, n := range g.nodes {
+		if n.waits == 0 {
+			r.ready <- n
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.work()
+		}()
+	}
+	wg.Wait()
+	if len(r.failures) == 0 {
+		return nil
+	}
+	sort.Slice(r.failures, func(i, j int) bool {
+		a, b := r.failures[i], r.failures[j]
+		if a.key.phase != b.key.phase {
+			return a.key.phase < b.key.phase
+		}
+		if a.key.task != b.key.task {
+			return a.key.task < b.key.task
+		}
+		return a.seq < b.seq
+	})
+	errs := make([]error, len(r.failures))
+	for i, f := range r.failures {
+		errs[i] = f.err
+	}
+	return errors.Join(errs...)
+}
+
+// work is one worker's dispatch loop. A queued node is only executed
+// if no failure has landed yet — after the first failure, queued nodes
+// are drained without running (stop-dispatch), in-flight nodes finish,
+// and the last completion closes `done`.
+func (r *dagRun) work() {
+	for {
+		select {
+		case <-r.done:
+			return
+		case n := <-r.ready:
+			r.mu.Lock()
+			if r.failed {
+				r.mu.Unlock()
+				continue
+			}
+			r.inflight++
+			r.mu.Unlock()
+			// Each node runs on a fresh goroutine (the worker blocks on
+			// it, so concurrency stays capped at `workers`): task
+			// goroutines start with zero GC assist debt, instead of
+			// long-lived workers accumulating the whole job's debt and
+			// stalling on assists.
+			ch := make(chan error, 1)
+			go func() { ch <- runNodeSafe(n) }()
+			r.complete(n, <-ch)
+		}
+	}
+}
+
+// complete records one node's outcome and enqueues newly-ready
+// successors; when the graph can make no further progress — all nodes
+// done, or a failure landed and the in-flight tail drained — it closes
+// `done` to release the workers.
+func (r *dagRun) complete(n *dagNode, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.inflight--
+	r.undone--
+	if err != nil {
+		r.failures = append(r.failures, nodeFailure{key: n.key, seq: n.seq, err: err})
+		r.failed = true
+	} else if !r.failed {
+		for _, s := range n.succs {
+			s.waits--
+			if s.waits == 0 {
+				r.ready <- s // buffered to node count; never blocks
+			}
+		}
+	}
+	if r.undone == 0 || (r.failed && r.inflight == 0) {
+		close(r.done)
+	}
+}
+
+func runNodeSafe(n *dagNode) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("mapreduce: task %d panicked: %v", n.key.task, p)
+		}
+	}()
+	return n.run()
+}
+
+// runAttempted executes one task body — through the attempt runtime's
+// retry ladder when it is active, directly otherwise — recording the
+// attempt history in att[i].
+func runAttempted[T any](fr *faultRuntime, phase faults.Phase, att []*taskAttempts, i int,
+	exec func(i int) (T, costmodel.Units, error)) (T, costmodel.Units, error) {
+	if fr == nil {
+		return exec(i)
+	}
+	out, cost, ta, err := runTaskAttempts(fr, phase, i, func() (T, costmodel.Units, error) {
+		return exec(i)
+	})
+	att[i] = ta
+	return out, cost, err
+}
+
+// runJobGraph builds one job's task graph and executes it on `workers`
+// goroutines, committing every task's output into po. It is the only
+// graph builder: the local engine and the remote master call it with
+// their own three task bodies (mExec, sExec, rExec), and everything
+// else — dependencies, the attempt runtime, speculation, stop-dispatch,
+// error joining — is shared, which is what keeps attempt histories and
+// therefore trace bytes identical across transports.
+//
+// Shuffle r is one attempt-tracked node gated on every map task: fault
+// decisions are keyed (phase, task, attempt), so a partition's shuffle
+// must be one unit of work. Speculation nodes have no successors — a
+// winning backup is verified identical to the committed output — so
+// reduce work never waits on them.
+func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs,
+	mExec func(int) (mapTaskResult, costmodel.Units, error),
+	sExec func(int) (shuffleTaskResult, costmodel.Units, error),
+	rExec func(int) (reduceTaskResult, costmodel.Units, error)) error {
+	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
+	// All three phases' attempt slots are allocated up front: with no
+	// barriers, tasks of different phases run interleaved, and each
+	// node writes only its own index.
+	var mapAtt, shufAtt, redAtt []*taskAttempts
+	if fr != nil {
+		mapAtt = fr.beginPhase(faults.Map, M)
+		shufAtt = fr.beginPhase(faults.Shuffle, R)
+		redAtt = fr.beginPhase(faults.Reduce, R)
+	}
+
+	g := &taskGraph{}
+	mapNodes := make([]*dagNode, M)
+	for m := 0; m < M; m++ {
+		mapNodes[m] = g.node(nodeKey{nodeMap, m}, func() error {
+			out, cost, err := runAttempted(fr, faults.Map, mapAtt, m, mExec)
+			if err != nil {
+				return err
+			}
+			po.mapRes[m], po.mapCosts[m] = out, cost
+			return po.commitMap(m)
+		})
+	}
+	shufNodes := make([]*dagNode, R)
+	for r := 0; r < R; r++ {
+		shufNodes[r] = g.node(nodeKey{nodeShuffle, r}, func() error {
+			out, cost, err := runAttempted(fr, faults.Shuffle, shufAtt, r, sExec)
+			if err != nil {
+				return err
+			}
+			po.shufRes[r], po.shufCosts[r] = out, cost
+			return nil
+		})
+		for _, mn := range mapNodes {
+			g.edge(mn, shufNodes[r])
+		}
+	}
+	redNodes := make([]*dagNode, R)
+	for i := 0; i < R; i++ {
+		redNodes[i] = g.node(nodeKey{nodeReduce, i}, func() error {
+			out, cost, err := runAttempted(fr, faults.Reduce, redAtt, i, rExec)
+			if err != nil {
+				return err
+			}
+			po.reduceRes[i], po.reduceCosts[i] = out, cost
+			return nil
+		})
+		g.edge(shufNodes[i], redNodes[i])
+	}
+
+	if fr != nil && fr.policy.Speculation {
+		addSpeculationNodes(g, fr, faults.Map, nodeSpecMap, mapNodes, po.mapRes, po.mapCosts, mExec)
+		addSpeculationNodes(g, fr, faults.Shuffle, nodeSpecShuffle, shufNodes, po.shufRes, po.shufCosts, sExec)
+		addSpeculationNodes(g, fr, faults.Reduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, rExec)
+	}
+	return g.execute(workers)
+}
+
+// addSpeculationNodes wires one phase's straggler pass into the graph:
+// a gate node, dependent on every task of the phase, computes the
+// straggler threshold (the quantile needs the whole phase's cost
+// distribution — the one ordering constraint speculation genuinely
+// has); then one node per task runs speculateTask.
+func addSpeculationNodes[T attemptOutput[T]](g *taskGraph, fr *faultRuntime, phase faults.Phase, np nodePhase,
+	taskNodes []*dagNode, outs []T, costs []costmodel.Units, exec func(i int) (T, costmodel.Units, error)) {
+	n := len(taskNodes)
+	if n < 2 {
+		return
+	}
+	var thr costmodel.Units
+	gate := g.node(nodeKey{np, -1}, func() error {
+		thr = quantile(costs, fr.policy.SpeculationQuantile)
+		return nil
+	})
+	for _, tn := range taskNodes {
+		g.edge(tn, gate)
+	}
+	for i := 0; i < n; i++ {
+		sn := g.node(nodeKey{np, i}, func() error {
+			if thr <= 0 {
+				return nil
+			}
+			return speculateTask(fr, phase, i, thr, outs[i], costs[i], exec)
+		})
+		g.edge(gate, sn)
+	}
+}

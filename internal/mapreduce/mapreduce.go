@@ -12,7 +12,9 @@
 //     *progressive* result delivery observable (§III-B: "outputs the
 //     results to a different file every α units of cost").
 //
-// The engine executes tasks concurrently (bounded worker pool) but all
+// Every job runs one way: a task graph (map m → one shuffle node per
+// partition, gated on every map → reduce r) executed on a bounded
+// worker pool, in this process or leased to worker processes. All
 // timing comes from the cost model, so results and timelines are
 // bit-for-bit reproducible regardless of real scheduling.
 package mapreduce
@@ -120,27 +122,6 @@ func HashPartitioner(key string, numReduce int) int {
 	return int(h % uint64(numReduce))
 }
 
-// ExecutionMode selects how the engine executes a job's tasks on the
-// host machine. Like Workers, it is purely a host-side knob: both modes
-// produce byte-identical Results, traces, counters, and quality
-// exports, because all timing comes from the simulated cost model.
-type ExecutionMode int
-
-const (
-	// ExecPipelined (the default) runs the job as a dependency-driven
-	// task graph on one shared worker pool: a partition's shuffle merge
-	// starts incrementally as its map-side sorted runs commit, and
-	// reduce task r fires the moment its merge completes — no phase
-	// barriers, so one straggling task no longer serializes the whole
-	// pipeline.
-	ExecPipelined ExecutionMode = iota
-	// ExecBarrier runs the job as three fully barriered phases
-	// (map → shuffle → reduce), each on its own worker-pool pass. Kept
-	// in-tree as the reference implementation the pipelined engine is
-	// equivalence-tested and benchmarked against.
-	ExecBarrier
-)
-
 // Cluster describes the simulated hardware: the paper runs at most two
 // concurrent map and two concurrent reduce tasks per machine (§VI-A1).
 type Cluster struct {
@@ -179,24 +160,16 @@ type Config struct {
 	// defaults to GOMAXPROCS. Purely a host-machine knob: it cannot
 	// change results or simulated timing.
 	Workers int
-	// Execution picks the pipelined task-graph engine (default) or the
-	// barriered reference engine. A host-machine knob like Workers.
-	Execution ExecutionMode
 	// Transport selects where task bodies execute: in-process on the
 	// channel pool (nil / LocalTransport, the default) or leased to
 	// worker processes through a RemoteTransport (internal/dist). A
 	// host-machine knob like Workers: every transport produces
 	// byte-identical Results, traces, and quality exports. Remote
-	// transports require the pipelined engine and are incompatible
-	// with MemBudget/ShuffleMemLimit (run files, not memory pressure,
-	// are the distributed data plane).
+	// transports are incompatible with MemBudget (run files, not memory
+	// pressure, are the distributed data plane).
 	Transport TaskTransport
-	// ShuffleMemLimit, when > 0, bounds the records a reduce task's
-	// shuffle may buffer in host memory; beyond it, sorted runs spill
-	// to SpillDir and are k-way merged (Hadoop's spill-and-merge
-	// shuffle). Purely a host-machine knob, like Workers.
-	ShuffleMemLimit int
-	// SpillDir receives shuffle spill files; os.TempDir()-based default.
+	// SpillDir receives shuffle spill files under MemBudget;
+	// os.TempDir()-based default.
 	SpillDir string
 	// MemBudget, when non-nil, is the process-wide memory budget
 	// manager governing out-of-core execution: reduce inputs buffer in
@@ -238,9 +211,8 @@ type Config struct {
 	// construction. Nil disables at zero cost.
 	Quality *quality.Recorder
 	// Live, when non-nil, receives in-flight execution state: per-task
-	// DAG node transitions, attempt/retry/speculation activity, shuffle
-	// merge/spill progress, and per-block resolution realizations as
-	// they happen — the feed behind the status server's /progress and
+	// DAG node transitions, attempt/retry/speculation activity, and
+	// per-block resolution realizations as they happen — the feed behind the status server's /progress and
 	// /tasks endpoints. Strictly write-only from the engine's side
 	// (nothing in the run reads it back), so Result, traces, metrics,
 	// and quality exports are byte-identical with or without it. Nil
@@ -270,9 +242,6 @@ func (c *Config) validate() error {
 	if q := c.Retry.SpeculationQuantile; q < 0 || q >= 1 {
 		return fmt.Errorf("mapreduce: job %q: speculation quantile %v outside [0,1)", c.Name, q)
 	}
-	if c.Execution != ExecPipelined && c.Execution != ExecBarrier {
-		return fmt.Errorf("mapreduce: job %q: unknown execution mode %d", c.Name, c.Execution)
-	}
 	switch c.Transport.(type) {
 	case nil, LocalTransport, *LocalTransport:
 	default:
@@ -281,19 +250,10 @@ func (c *Config) validate() error {
 			return fmt.Errorf("mapreduce: job %q: transport %q is neither local nor a RemoteTransport",
 				c.Name, c.Transport.TransportName())
 		}
-		// Remote execution replicates the pipelined task graph across
-		// processes; the barrier engine and the in-memory pressure knobs
-		// have no distributed counterpart (run files are the data plane).
-		if c.Execution != ExecPipelined {
-			return fmt.Errorf("mapreduce: job %q: transport %q requires the pipelined engine",
-				c.Name, rt.TransportName())
-		}
+		// The memory budget has no distributed counterpart: run files
+		// are the data plane.
 		if c.MemBudget != nil {
 			return fmt.Errorf("mapreduce: job %q: transport %q is incompatible with MemBudget",
-				c.Name, rt.TransportName())
-		}
-		if c.ShuffleMemLimit > 0 {
-			return fmt.Errorf("mapreduce: job %q: transport %q is incompatible with ShuffleMemLimit",
 				c.Name, rt.TransportName())
 		}
 	}

@@ -14,10 +14,9 @@ package mapreduce
 // spans, and quality observations travel back inline over RPC: they
 // are exactly the per-task state phaseOutputs needs.
 //
-// Determinism: the master drives the same task graph (map → shuffle r
-// gated on all maps → reduce r) through the same runAttempted /
-// speculation machinery as the local pipelined engine — its node
-// bodies just dispatch over RPC instead of calling the task function.
+// Determinism: the master builds the job's task graph with the same
+// runJobGraph the local engine uses — its task bodies just dispatch
+// over RPC instead of calling the task functions.
 // Committed results are byte-identical to local execution because the
 // task bodies are the same deterministic functions, so everything
 // derived in Run's finalize half (schedule, Result, spans, metrics,
@@ -32,11 +31,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"proger/internal/costmodel"
 	"proger/internal/extsort"
-	"proger/internal/faults"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
@@ -71,16 +68,14 @@ type RemoteJobSpec struct {
 // record counts (the runs themselves are files), a shuffle task its
 // merged record count. Reduce output is the job's actual product and
 // returns inline.
+//
+// It holds deterministic task output only: the executing worker's
+// identity travels beside it (RemoteJob.RunTask, RemoteJobResults), so
+// comparing two attempts' results can never see which worker ran them.
 type RemoteTaskResult struct {
 	Cost     costmodel.Units
 	Counters Counters
 	Spans    []obs.Span
-	// Worker is the master-attributed executor identity, stamped when
-	// the completion is accepted (first-completion-wins) and carried
-	// into the end-of-job broadcast so every process's live task table
-	// shows who ran what. Observability-only: nothing derived from the
-	// result reads it.
-	Worker int
 	// PartLens is a map task's record count per partition.
 	PartLens []int
 	// Len is a shuffle task's merged record count.
@@ -98,6 +93,10 @@ type RemoteJobResults struct {
 	Map     []RemoteTaskResult
 	Shuffle []RemoteTaskResult
 	Reduce  []RemoteTaskResult
+	// MapWorkers, ShuffleWorkers, and ReduceWorkers attribute each
+	// committed task to the worker that executed it, so every process's
+	// live task table shows who ran what. Observability only.
+	MapWorkers, ShuffleWorkers, ReduceWorkers []int
 }
 
 // remoteInput is the master's stand-in reduceInput for a partition
@@ -112,12 +111,11 @@ func (r remoteInput) Len() int { return r.n }
 func (r remoteInput) Iter() (kvIter, error) {
 	return nil, fmt.Errorf("mapreduce: remote reduce input holds no local records")
 }
-func (r remoteInput) Close() error { return nil }
 
 // runFileInput is the worker-side reduceInput streaming a merged
-// shuffle run file. The file is owned by the master's job cleanup, so
-// Close releases nothing; each Iter opens an independent handle. c,
-// when non-nil, counts bytes read off the file.
+// shuffle run file. The file is owned by the master's job cleanup; each
+// Iter opens an independent handle. c, when non-nil, counts bytes read
+// off the file.
 type runFileInput struct {
 	path string
 	n    int
@@ -133,8 +131,6 @@ func (f runFileInput) Iter() (kvIter, error) {
 	}
 	return &runFileIter{f: fh, rr: extsort.NewRunReader(countingReader{fh, f.c})}, nil
 }
-
-func (f runFileInput) Close() error { return nil }
 
 type runFileIter struct {
 	f  *os.File
@@ -494,9 +490,9 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// runRemoteJob executes one job over a remote transport, filling
-// phaseOutputs byte-identically to the local engines.
-func runRemoteJob(cfg *Config, rt RemoteTransport, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue) (*phaseOutputs, error) {
+// runRemoteJob executes one job over a remote transport, filling po
+// byte-identically to the local engine.
+func runRemoteJob(cfg *Config, rt RemoteTransport, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue, po *phaseOutputs) error {
 	spec := RemoteJobSpec{
 		Name:           cfg.Name,
 		NumMapTasks:    cfg.NumMapTasks,
@@ -507,236 +503,129 @@ func runRemoteJob(cfg *Config, rt RemoteTransport, fr *faultRuntime, lj *live.Jo
 	runner := newRemoteRunner(cfg, splits, lj)
 	job, err := rt.BeginJob(spec, runner)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if job.Master() {
-		return runRemoteMaster(cfg, fr, lj, workers, splits, job)
+		return runRemoteMaster(cfg, fr, lj, workers, splits, po, job)
 	}
-	return runRemoteWorker(cfg, lj, splits, job, runner)
+	return runRemoteWorker(cfg, splits, po, job, runner)
 }
 
-// runRemoteMaster drives the job's task graph with RPC-dispatching
-// node bodies: the same graph shape, attempt runtime, speculation
-// gates, and pool scheduling as the local pipelined engine's
-// non-premerge path, so attempt histories — and therefore trace
-// bytes — match a local run with the same fault configuration.
-func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue, rjob RemoteJob) (*phaseOutputs, error) {
-	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
-	po := newPhaseOutputs(cfg)
-	po.mapRes = make([]mapTaskResult, M)
-	po.mapCosts = make([]costmodel.Units, M)
-	po.shufRes = make([]shuffleTaskResult, R)
-	po.reduceRes = make([]reduceTaskResult, R)
-	po.reduceCosts = make([]costmodel.Units, R)
-
-	// Raw wire-form results per committed task, collected by the graph
-	// nodes (single writer each) for the end-of-job broadcast.
-	rawMap := make([]*RemoteTaskResult, M)
-	rawShuf := make([]*RemoteTaskResult, R)
-	rawRed := make([]*RemoteTaskResult, R)
-	partLens := make([][]int, M)
-
+// runRemoteMaster runs the job's task graph with RPC-dispatching task
+// bodies, then broadcasts the committed results (or the terminal
+// error) so the worker fleet's lockstep drivers can proceed or abort.
+func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue, po *phaseOutputs, rjob RemoteJob) error {
 	// Lost leases (worker died mid-task) re-dispatch below the attempt
 	// runtime: host chaos stays off the simulated timeline.
 	lost := lostRetryBudget(cfg)
-	dispatch := func(phase string, task, inputLen int) (*RemoteTaskResult, error) {
-		return retryLost(lost, func() (*RemoteTaskResult, error) {
+	dispatch := func(phase string, task, inputLen int) (*RemoteTaskResult, int, error) {
+		return retryLost(lost, func() (*RemoteTaskResult, int, error) {
 			return rjob.RunTask(phase, task, inputLen)
 		})
 	}
-
-	mExec := func(m int) (mapTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseMap, m)
-		var w0 time.Time
-		if po.mapWall != nil {
-			w0 = time.Now()
-		}
-		res, err := dispatch(RemotePhaseMap, m, len(splits[m]))
+	mExec := observed(lj, live.PhaseMap, po.mapWall, func(m int) (mapTaskResult, costmodel.Units, int, error) {
+		res, worker, err := dispatch(RemotePhaseMap, m, len(splits[m]))
 		if err != nil {
-			lj.TaskFailed(live.PhaseMap, m, err)
-			return mapTaskResult{}, 0, err
+			return mapTaskResult{}, 0, 0, err
 		}
-		if po.mapWall != nil {
-			po.mapWall[m] = wallSpan{w0, time.Since(w0)}
-		}
-		lj.TaskDone(live.PhaseMap, m, float64(res.Cost), len(splits[m]))
-		lj.TaskWorker(live.PhaseMap, m, res.Worker)
-		return mapTaskResult{counters: res.Counters, spans: res.Spans, remote: res}, res.Cost, nil
-	}
-	sExec := func(r int) (shuffleTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseShuffle, r)
-		var w0 time.Time
-		if po.shufWall != nil {
-			w0 = time.Now()
-		}
+		lj.TaskWorker(live.PhaseMap, m, worker)
+		return mapTaskResult{partLens: res.PartLens, counters: res.Counters, spans: res.Spans, worker: worker},
+			res.Cost, len(splits[m]), nil
+	})
+	sExec := observed(lj, live.PhaseShuffle, po.shufWall, func(r int) (shuffleTaskResult, costmodel.Units, int, error) {
 		n := 0
-		for m := 0; m < M; m++ {
-			n += partLens[m][r]
+		for _, mr := range po.mapRes {
+			n += mr.partLens[r]
 		}
-		res, err := dispatch(RemotePhaseShuffle, r, n)
+		res, worker, err := dispatch(RemotePhaseShuffle, r, n)
 		if err != nil {
-			lj.TaskFailed(live.PhaseShuffle, r, err)
-			return shuffleTaskResult{}, 0, err
+			return shuffleTaskResult{}, 0, 0, err
 		}
 		if res.Len != n {
-			err := fmt.Errorf("mapreduce: %s shuffle %d merged %d records, map tasks produced %d",
+			return shuffleTaskResult{}, 0, 0, fmt.Errorf("mapreduce: %s shuffle %d merged %d records, map tasks produced %d",
 				cfg.Name, r, res.Len, n)
-			lj.TaskFailed(live.PhaseShuffle, r, err)
-			return shuffleTaskResult{}, 0, err
 		}
-		if po.shufWall != nil {
-			po.shufWall[r] = wallSpan{w0, time.Since(w0)}
-		}
-		cost := cfg.Cost.ShuffleSortCost(res.Len)
-		lj.TaskDone(live.PhaseShuffle, r, float64(cost), res.Len)
-		lj.TaskWorker(live.PhaseShuffle, r, res.Worker)
-		return shuffleTaskResult{in: remoteInput{n: res.Len}, remote: res}, cost, nil
-	}
-	rExec := func(i int) (reduceTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseReduce, i)
-		var w0 time.Time
-		if po.reduceWall != nil {
-			w0 = time.Now()
-		}
-		res, err := dispatch(RemotePhaseReduce, i, po.shufRes[i].in.Len())
+		lj.TaskWorker(live.PhaseShuffle, r, worker)
+		return shuffleTaskResult{in: remoteInput{n: n}, worker: worker}, cfg.Cost.ShuffleSortCost(n), n, nil
+	})
+	rExec := observed(lj, live.PhaseReduce, po.reduceWall, func(i int) (reduceTaskResult, costmodel.Units, int, error) {
+		n := po.shufRes[i].in.Len()
+		res, worker, err := dispatch(RemotePhaseReduce, i, n)
 		if err != nil {
-			lj.TaskFailed(live.PhaseReduce, i, err)
-			return reduceTaskResult{}, 0, err
+			return reduceTaskResult{}, 0, 0, err
 		}
-		if po.reduceWall != nil {
-			po.reduceWall[i] = wallSpan{w0, time.Since(w0)}
-		}
-		lj.TaskDone(live.PhaseReduce, i, float64(res.Cost), po.shufRes[i].in.Len())
-		lj.TaskWorker(live.PhaseReduce, i, res.Worker)
-		return reduceTaskResult{out: res.Out, counters: res.Counters, spans: res.Spans, qobs: res.Qobs, remote: res}, res.Cost, nil
-	}
+		lj.TaskWorker(live.PhaseReduce, i, worker)
+		return reduceTaskResult{out: res.Out, counters: res.Counters, spans: res.Spans, qobs: res.Qobs, worker: worker},
+			res.Cost, n, nil
+	})
 
-	var mapAtt, shufAtt, redAtt []*taskAttempts
-	if fr != nil {
-		mapAtt = fr.beginPhase(faults.Map, M)
-		shufAtt = fr.beginPhase(faults.Shuffle, R)
-		redAtt = fr.beginPhase(faults.Reduce, R)
-	}
-
-	g := &taskGraph{}
-	mapNodes := make([]*dagNode, M)
-	for m := 0; m < M; m++ {
-		m := m
-		mapNodes[m] = g.node(nodeKey{nodeMap, m}, func() error {
-			out, cost, err := runAttempted(fr, faults.Map, mapAtt, m, mExec)
-			if err != nil {
-				return err
-			}
-			po.mapRes[m], po.mapCosts[m] = out, cost
-			partLens[m] = out.remote.PartLens
-			rawMap[m] = out.remote
-			return nil
-		})
-	}
-	shufNodes := make([]*dagNode, R)
-	for r := 0; r < R; r++ {
-		r := r
-		shufNodes[r] = g.node(nodeKey{nodeShuffle, r}, func() error {
-			out, _, err := runAttempted(fr, faults.Shuffle, shufAtt, r, sExec)
-			if err != nil {
-				return err
-			}
-			po.shufRes[r] = out
-			rawShuf[r] = out.remote
-			return nil
-		})
-		for _, mn := range mapNodes {
-			g.edge(mn, shufNodes[r])
-		}
-	}
-	redNodes := make([]*dagNode, R)
-	for i := 0; i < R; i++ {
-		i := i
-		redNodes[i] = g.node(nodeKey{nodeReduce, i}, func() error {
-			out, cost, err := runAttempted(fr, faults.Reduce, redAtt, i, rExec)
-			if err != nil {
-				return err
-			}
-			po.reduceRes[i], po.reduceCosts[i] = out, cost
-			rawRed[i] = out.remote
-			return nil
-		})
-		g.edge(shufNodes[i], redNodes[i])
-	}
-	if fr != nil && fr.policy.Speculation {
-		addSpeculationNodes(g, fr, faults.Map, nodeSpecMap, mapNodes, po.mapRes, po.mapCosts, mExec)
-		shufCosts := make([]costmodel.Units, R)
-		shufCostOf := func(i int) costmodel.Units { return cfg.Cost.ShuffleSortCost(po.shufRes[i].in.Len()) }
-		addSpeculationNodesWithCosts(g, fr, faults.Shuffle, nodeSpecShuffle, shufNodes, po.shufRes, shufCosts, shufCostOf, sExec)
-		addSpeculationNodes(g, fr, faults.Reduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, rExec)
-	}
-
-	err := (LocalTransport{}).execGraph(g, workers)
+	err := runJobGraph(cfg, fr, workers, po, mExec, sExec, rExec)
 	var results *RemoteJobResults
 	if err == nil {
-		results = &RemoteJobResults{
-			Map:     make([]RemoteTaskResult, M),
-			Shuffle: make([]RemoteTaskResult, R),
-			Reduce:  make([]RemoteTaskResult, R),
-		}
-		for m, res := range rawMap {
-			results.Map[m] = *res
-		}
-		for r, res := range rawShuf {
-			results.Shuffle[r] = *res
-		}
-		for i, res := range rawRed {
-			results.Reduce[i] = *res
-		}
+		results = po.remoteResults()
 	}
-	// Broadcast results — or the terminal error — so the worker fleet's
-	// lockstep drivers can proceed (or abort) too.
-	if ferr := rjob.Finish(results, err); err == nil && ferr != nil {
+	if ferr := rjob.Finish(results, err); err == nil {
 		err = ferr
 	}
-	if err != nil {
-		return po, err
+	return err
+}
+
+// remoteResults packs the committed task outputs into the end-of-job
+// broadcast; runRemoteWorker unpacks it on the worker side.
+func (po *phaseOutputs) remoteResults() *RemoteJobResults {
+	jr := &RemoteJobResults{
+		Map:            make([]RemoteTaskResult, len(po.mapRes)),
+		Shuffle:        make([]RemoteTaskResult, len(po.shufRes)),
+		Reduce:         make([]RemoteTaskResult, len(po.reduceRes)),
+		MapWorkers:     make([]int, len(po.mapRes)),
+		ShuffleWorkers: make([]int, len(po.shufRes)),
+		ReduceWorkers:  make([]int, len(po.reduceRes)),
 	}
-	return po, nil
+	for m, r := range po.mapRes {
+		jr.Map[m] = RemoteTaskResult{Cost: po.mapCosts[m], Counters: r.counters, Spans: r.spans, PartLens: r.partLens}
+		jr.MapWorkers[m] = r.worker
+	}
+	for i, r := range po.shufRes {
+		jr.Shuffle[i] = RemoteTaskResult{Cost: po.shufCosts[i], Len: r.in.Len()}
+		jr.ShuffleWorkers[i] = r.worker
+	}
+	for i, r := range po.reduceRes {
+		jr.Reduce[i] = RemoteTaskResult{Cost: po.reduceCosts[i], Counters: r.counters, Spans: r.spans, Out: r.out, Qobs: r.qobs}
+		jr.ReduceWorkers[i] = r.worker
+	}
+	return jr
 }
 
 // runRemoteWorker is the follower side: leases execute concurrently
 // through the transport's pump loops (which call RemoteRunner.RunTask
 // directly); here the driver just waits for the master's broadcast and
-// fills phaseOutputs from it, so the rest of Run — and the next job's
-// schedule generation — proceeds identically to the master's.
-func runRemoteWorker(cfg *Config, lj *live.Job, splits [][]KeyValue, rjob RemoteJob, runner *RemoteRunner) (*phaseOutputs, error) {
+// fills po from it, so the rest of Run — and the next job's schedule
+// generation — proceeds identically to the master's.
+func runRemoteWorker(cfg *Config, splits [][]KeyValue, po *phaseOutputs, rjob RemoteJob, runner *RemoteRunner) error {
 	jr, err := rjob.Wait()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
-	if len(jr.Map) != M || len(jr.Shuffle) != R || len(jr.Reduce) != R {
-		return nil, fmt.Errorf("mapreduce: %s: master broadcast %d/%d/%d task results, this process expects %d/%d/%d — fleet configs diverged",
+	if len(jr.Map) != M || len(jr.Shuffle) != R || len(jr.Reduce) != R ||
+		len(jr.MapWorkers) != M || len(jr.ShuffleWorkers) != R || len(jr.ReduceWorkers) != R {
+		return fmt.Errorf("mapreduce: %s: master broadcast %d/%d/%d task results, this process expects %d/%d/%d — fleet configs diverged",
 			cfg.Name, len(jr.Map), len(jr.Shuffle), len(jr.Reduce), M, R, R)
 	}
-	po := newPhaseOutputs(cfg)
-	po.mapRes = make([]mapTaskResult, M)
-	po.mapCosts = make([]costmodel.Units, M)
-	po.shufRes = make([]shuffleTaskResult, R)
-	po.reduceRes = make([]reduceTaskResult, R)
-	po.reduceCosts = make([]costmodel.Units, R)
-	for m := 0; m < M; m++ {
-		res := jr.Map[m]
-		po.mapRes[m] = mapTaskResult{counters: res.Counters, spans: res.Spans}
+	for m, res := range jr.Map {
+		po.mapRes[m] = mapTaskResult{partLens: res.PartLens, counters: res.Counters, spans: res.Spans, worker: jr.MapWorkers[m]}
 		po.mapCosts[m] = res.Cost
-		runner.publishRemaining(live.PhaseMap, RemotePhaseMap, m, res.Cost, len(splits[m]), res.Worker)
+		runner.publishRemaining(live.PhaseMap, RemotePhaseMap, m, res.Cost, len(splits[m]), jr.MapWorkers[m])
 	}
-	for r := 0; r < R; r++ {
-		res := jr.Shuffle[r]
-		po.shufRes[r] = shuffleTaskResult{in: remoteInput{n: res.Len}}
-		runner.publishRemaining(live.PhaseShuffle, RemotePhaseShuffle, r, res.Cost, res.Len, res.Worker)
+	for r, res := range jr.Shuffle {
+		po.shufRes[r] = shuffleTaskResult{in: remoteInput{n: res.Len}, worker: jr.ShuffleWorkers[r]}
+		po.shufCosts[r] = res.Cost
+		runner.publishRemaining(live.PhaseShuffle, RemotePhaseShuffle, r, res.Cost, res.Len, jr.ShuffleWorkers[r])
 	}
-	for i := 0; i < R; i++ {
-		res := jr.Reduce[i]
-		po.reduceRes[i] = reduceTaskResult{out: res.Out, counters: res.Counters, spans: res.Spans, qobs: res.Qobs}
+	for i, res := range jr.Reduce {
+		po.reduceRes[i] = reduceTaskResult{out: res.Out, counters: res.Counters, spans: res.Spans, qobs: res.Qobs, worker: jr.ReduceWorkers[i]}
 		po.reduceCosts[i] = res.Cost
-		runner.publishRemaining(live.PhaseReduce, RemotePhaseReduce, i, res.Cost, jr.Shuffle[i].Len, res.Worker)
+		runner.publishRemaining(live.PhaseReduce, RemotePhaseReduce, i, res.Cost, jr.Shuffle[i].Len, jr.ReduceWorkers[i])
 	}
-	return po, nil
+	return nil
 }

@@ -1,15 +1,16 @@
 package mapreduce
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"proger/internal/membudget"
+	"proger/internal/obs"
 )
 
 // randomKVRuns builds mapTasks runs of unsorted key-value records drawn
@@ -78,9 +79,11 @@ func TestMergeShuffleMatchesLegacySortProperty(t *testing.T) {
 }
 
 func TestShuffleEquivalenceAcrossWorkersProperty(t *testing.T) {
-	// Property: Workers=1 and Workers=GOMAXPROCS (and a spilling run)
+	// Property: Workers=1 and Workers=GOMAXPROCS (and a budget-spilling run)
 	// produce byte-identical Results — output bytes, order, timestamps,
-	// counters — for randomized inputs and job shapes.
+	// counters — for randomized inputs and job shapes. Tiny inputs may
+	// fit the budget, but across the runs the disk path must be taken.
+	var forced int64
 	f := func(seed int64, nLines, mapTasks, reduceTasks uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		words := []string{"ant", "bee", "cat", "dog", "elk", "fox", "gnu", "hen"}
@@ -107,8 +110,9 @@ func TestShuffleEquivalenceAcrossWorkersProperty(t *testing.T) {
 		parallel.Workers = runtime.GOMAXPROCS(0) + 3 // force the pool path
 		spilling := base
 		spilling.Workers = 4
-		spilling.ShuffleMemLimit = 2 // force the external merge path
+		spilling.MemBudget = membudget.New(64) // force the disk path
 		spilling.SpillDir = t.TempDir()
+		spilling.Metrics = obs.NewRegistry()
 
 		a, err := Run(serial, in, 0)
 		if err != nil {
@@ -122,6 +126,7 @@ func TestShuffleEquivalenceAcrossWorkersProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		forced += spilling.Metrics.Counter(CounterBudgetForcedSpills).Value()
 		return reflect.DeepEqual(a.Output, b.Output) &&
 			reflect.DeepEqual(a.Output, c.Output) &&
 			a.End == b.End && a.End == c.End &&
@@ -131,6 +136,9 @@ func TestShuffleEquivalenceAcrossWorkersProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+	if forced == 0 {
+		t.Error("the 64-byte budget forced no spills in any run")
 	}
 }
 
@@ -142,54 +150,5 @@ func TestMergeSortedRunsSharesSingleRun(t *testing.T) {
 	}
 	if mergeSortedRuns(nil, 0) != nil {
 		t.Error("empty merge should be nil")
-	}
-}
-
-func TestRunPoolShortCircuitsOnError(t *testing.T) {
-	const n = 1000
-	var executed atomic.Int64
-	err := runPool(4, n, func(i int) error {
-		executed.Add(1)
-		if i == 2 {
-			return errors.New("task failure")
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "task failure" {
-		t.Fatalf("err = %v, want task failure", err)
-	}
-	if got := executed.Load(); got >= n {
-		t.Errorf("pool drained all %d tasks after an early failure", n)
-	}
-}
-
-func TestRunPoolSequentialShortCircuits(t *testing.T) {
-	var executed int
-	err := runPool(1, 100, func(i int) error {
-		executed++
-		if i == 4 {
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if executed != 5 {
-		t.Errorf("executed %d tasks, want 5", executed)
-	}
-}
-
-func TestRunPoolCompletesAllWithoutError(t *testing.T) {
-	const n = 257
-	var executed atomic.Int64
-	if err := runPool(8, n, func(i int) error {
-		executed.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if executed.Load() != n {
-		t.Errorf("executed %d of %d tasks", executed.Load(), n)
 	}
 }

@@ -1,20 +1,22 @@
 package mapreduce
 
-// The pluggable shuffle storage layer. A reduce task's input is a
-// reduceInput — either an in-memory record slice (memInput, the
-// classic path) or a spillStore holding sorted runs that may live in
-// memory, on disk, or both. Which one a partition gets is a pure
-// host-machine decision (ShuffleMemLimit, MemBudget); the record
-// sequence every implementation yields is byte-identical, which is
-// what keeps Result/trace/quality bytes independent of storage mode.
+// The shuffle storage layer. A reduce task's input is a reduceInput in
+// one of two storage modes: an in-memory record slice (memInput, the
+// k-way merge of the map runs) or, under a MemBudget, a spillStore
+// holding sorted runs that may live in memory, on disk, or both. Which
+// one a partition gets is a pure host-machine decision; the record
+// sequence both yield is byte-identical, which is what keeps
+// Result/trace/quality bytes independent of storage mode. (A remote
+// master's and worker's inputs — remoteInput, runFileInput — live in
+// remote.go.)
 //
 // Ordering invariant: every run is tagged with a priority — its map
 // task index — and all merges compare (key, prio). Because one run is
 // ingested exactly once and moved between memory and disk only whole,
 // a given prio lives in exactly one source at any time, so merging
 // arbitrary groupings of runs reproduces exactly the stable
-// (key, map-index) order of the barrier engine's in-memory k-way
-// merge, no matter when or how runs were spilled.
+// (key, map-index) order of the in-memory k-way merge, no matter when
+// or how runs were spilled.
 
 import (
 	"bytes"
@@ -22,6 +24,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"slices"
 	"sync"
 
 	"proger/internal/extsort"
@@ -35,7 +38,6 @@ import (
 type reduceInput interface {
 	Len() int
 	Iter() (kvIter, error)
-	Close() error
 }
 
 // kvIter streams records in (key, map-index) order.
@@ -51,7 +53,6 @@ type memInput struct {
 
 func (m memInput) Len() int              { return len(m.kvs) }
 func (m memInput) Iter() (kvIter, error) { return &memIter{kvs: m.kvs}, nil }
-func (m memInput) Close() error          { return nil }
 
 type memIter struct {
 	kvs []KeyValue
@@ -116,18 +117,16 @@ type spillRun struct {
 	charged bool
 }
 
-// spillStore is the disk-capable reduceInput. Runs are ingested whole
-// (addRun); in forceDisk mode each goes straight to its own run file
-// (the deterministic ShuffleMemLimit path), otherwise runs buffer in
-// memory charged against the budget account, and a budget-forced spill
-// merges everything buffered into one compressed run file. Iter k-way
-// merges memory and disk sources by (key, prio).
+// spillStore is the budget-governed reduceInput. Runs are ingested
+// whole (addRun) and buffer in memory charged against the budget
+// account; a budget-forced spill merges everything buffered into one
+// compressed run file. Iter k-way merges memory and disk sources by
+// (key, prio).
 type spillStore struct {
-	job       string
-	r         int
-	parent    string // spill parent dir; "" = system temp
-	forceDisk bool
-	acct      *membudget.Account
+	job    string
+	r      int
+	parent string // spill parent dir; "" = system temp
+	acct   *membudget.Account
 
 	mu       sync.Mutex
 	tmpDir   string
@@ -138,22 +137,18 @@ type spillStore struct {
 	readers  int // live iterators; pins memory runs against spilling
 	closed   bool
 
-	// spilledRuns is the deterministic ShuffleMemLimit-driven count the
-	// trace reports; forcedSpills/spilledBytes are budget-pressure
-	// driven and reported only through the metrics registry.
-	spilledRuns  int64
+	// forcedSpills/spilledBytes are budget-pressure driven and reported
+	// only through the metrics registry.
 	forcedSpills int64
 	spilledBytes int64
 }
 
-// newSpillStore creates a store for reduce partition r. With mgr
-// non-nil (and forceDisk false) buffered bytes are charged to a fresh
-// budget account whose forced-spill callback flushes the buffer.
-func newSpillStore(cfg *Config, mgr *membudget.Manager, r int, forceDisk bool) *spillStore {
-	st := &spillStore{job: cfg.Name, r: r, parent: cfg.SpillDir, forceDisk: forceDisk}
-	if !forceDisk {
-		st.acct = mgr.NewAccount(fmt.Sprintf("%s/shuffle-%d", cfg.Name, r), st.budgetSpill)
-	}
+// newSpillStore creates a store for reduce partition r whose buffered
+// bytes are charged to a fresh account on cfg.MemBudget; the account's
+// forced-spill callback flushes the buffer.
+func newSpillStore(cfg *Config, r int) *spillStore {
+	st := &spillStore{job: cfg.Name, r: r, parent: cfg.SpillDir}
+	st.acct = cfg.MemBudget.NewAccount(fmt.Sprintf("%s/shuffle-%d", cfg.Name, r), st.budgetSpill)
 	return st
 }
 
@@ -171,16 +166,6 @@ func (st *spillStore) addRun(prio int, kvs []KeyValue) error {
 	}
 	b := kvRunBytes(kvs)
 	run := &spillRun{prio: uint64(prio), kvs: kvs, bytes: b}
-	if st.forceDisk {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if err := st.writeRunFileLocked([]*spillRun{run}); err != nil {
-			return err
-		}
-		st.spilledRuns++
-		st.total += len(kvs)
-		return nil
-	}
 	st.mu.Lock()
 	st.memRuns = append(st.memRuns, run)
 	st.total += len(kvs)
@@ -397,8 +382,8 @@ func (it *storeIter) Close() error {
 	return nil
 }
 
-// Close implements reduceInput: removes run files, drops the buffer,
-// and settles the budget account.
+// Close removes run files, drops the buffer, and settles the budget
+// account.
 func (st *spillStore) Close() error {
 	st.mu.Lock()
 	if st.closed {
@@ -427,72 +412,65 @@ func (st *spillStore) Close() error {
 	return first
 }
 
-// attemptComparer lets a task output type define value equality for
-// the speculation self-check; outputs holding host resources (file
-// paths, accounts) can't use reflect.DeepEqual.
-type attemptComparer interface {
-	attemptEqual(other any) bool
+// attemptOutput is a task output the speculation self-check can
+// compare: attemptEqual looks at the deterministic fields only.
+type attemptOutput[T any] interface {
+	attemptEqual(other T) bool
 }
 
-// discardable lets a task output release host resources when the
-// attempt runtime throws it away (crashed/hung/killed attempts and
-// every speculative duplicate).
-type discardable interface {
-	discard()
-}
-
-// attemptOutputsEqual compares two attempts' outputs, preferring the
-// type's own equality over reflect.DeepEqual.
-func attemptOutputsEqual[T any](a, b T) bool {
-	if c, ok := any(a).(attemptComparer); ok {
-		return c.attemptEqual(any(b))
-	}
-	return reflect.DeepEqual(a, b)
-}
-
-// discardAttemptOutput releases a discarded attempt output's host
-// resources, if it holds any.
-func discardAttemptOutput[T any](out T) {
-	if d, ok := any(out).(discardable); ok {
-		d.discard()
-	}
-}
-
-// attemptEqual implements attemptComparer: two shuffle outputs are
-// equal when they yield the same record sequence, regardless of
-// storage mode.
-func (s shuffleTaskResult) attemptEqual(other any) bool {
-	o, ok := other.(shuffleTaskResult)
-	if !ok {
+// attemptEqual compares two map outputs: counters, task-local spans,
+// and per-partition record counts, plus the records themselves when
+// both attempts still hold them (the committed output drops them once
+// budget stores own the runs, and a remote master never holds them).
+func (a mapTaskResult) attemptEqual(b mapTaskResult) bool {
+	if !reflect.DeepEqual(a.counters, b.counters) || !reflect.DeepEqual(a.spans, b.spans) ||
+		!slices.Equal(a.partLens, b.partLens) {
 		return false
 	}
-	if s.spilledRuns != o.spilledRuns {
-		return false
+	if a.out == nil || b.out == nil {
+		return true
 	}
-	return reduceInputsEqual(s.in, o.in)
+	return slices.EqualFunc(a.out, b.out, func(x, y []KeyValue) bool {
+		return slices.EqualFunc(x, y, kvEqual)
+	})
 }
 
-// discard implements discardable.
-func (s shuffleTaskResult) discard() {
-	if s.in != nil {
-		s.in.Close()
-	}
+// attemptEqual compares two shuffle outputs by the record sequence they
+// yield, regardless of storage mode.
+func (a shuffleTaskResult) attemptEqual(b shuffleTaskResult) bool {
+	return reduceInputsEqual(a.in, b.in)
+}
+
+// attemptEqual compares two reduce outputs: records with their local
+// timestamps, counters, task-local spans, and block observations.
+func (a reduceTaskResult) attemptEqual(b reduceTaskResult) bool {
+	return slices.EqualFunc(a.out, b.out, func(x, y TimedKV) bool {
+		return kvEqual(x.KeyValue, y.KeyValue) && x.Local == y.Local && x.Task == y.Task
+	}) && reflect.DeepEqual(a.counters, b.counters) && reflect.DeepEqual(a.spans, b.spans) &&
+		reflect.DeepEqual(a.qobs, b.qobs)
+}
+
+func kvEqual(a, b KeyValue) bool {
+	return a.Key == b.Key && bytes.Equal(a.Value, b.Value)
 }
 
 // reduceInputsEqual streams both inputs and compares record by record.
 // Remote inputs hold no local records — two are equal when their
 // counts agree (the records themselves were proven equal worker-side,
 // where duplicate executions hit the same first-write-wins run file).
+// Two references to one budget store are trivially equal.
 func reduceInputsEqual(a, b reduceInput) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
 	if ra, ok := a.(remoteInput); ok {
 		rb, ok := b.(remoteInput)
 		return ok && ra == rb
 	}
 	if _, ok := b.(remoteInput); ok {
 		return false
+	}
+	if sa, ok := a.(*spillStore); ok {
+		if sb, ok := b.(*spillStore); ok && sa == sb {
+			return true
+		}
 	}
 	if a.Len() != b.Len() {
 		return false
@@ -516,7 +494,7 @@ func reduceInputsEqual(a, b reduceInput) bool {
 		if !oka {
 			return true
 		}
-		if ka.Key != kb.Key || !bytes.Equal(ka.Value, kb.Value) {
+		if !kvEqual(ka, kb) {
 			return false
 		}
 	}

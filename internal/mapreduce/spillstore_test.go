@@ -73,7 +73,7 @@ func TestSpillStoreMatchesMemoryMerge(t *testing.T) {
 	want := mergeSortedRuns(sorted, total)
 
 	cfg, _ := storeConfig(t, 1<<30) // roomy: no pressure unless forced
-	st := newSpillStore(cfg, cfg.MemBudget, 0, false)
+	st := newSpillStore(cfg, 0)
 	defer st.Close()
 	// Ingest out of order, spilling the buffer partway through.
 	order := []int{3, 0, 4}
@@ -109,7 +109,7 @@ func TestSpillStoreMatchesMemoryMerge(t *testing.T) {
 // instead of mutating them.
 func TestSpillStoreIterPinsBuffer(t *testing.T) {
 	cfg, _ := storeConfig(t, 1<<30)
-	st := newSpillStore(cfg, cfg.MemBudget, 0, false)
+	st := newSpillStore(cfg, 0)
 	defer st.Close()
 	if err := st.addRun(0, storeRuns(1, 10)[0]); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestSpillStoreIterPinsBuffer(t *testing.T) {
 // dir, and settles the budget account.
 func TestSpillStoreCloseRemovesFiles(t *testing.T) {
 	cfg, mgr := storeConfig(t, 1<<30)
-	st := newSpillStore(cfg, cfg.MemBudget, 3, false)
+	st := newSpillStore(cfg, 3)
 	if err := st.addRun(0, storeRuns(1, 50)[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -160,41 +160,19 @@ func TestSpillStoreCloseRemovesFiles(t *testing.T) {
 	}
 }
 
-// TestForceDiskStoreCountsRuns: the deterministic ShuffleMemLimit path
-// writes one file per ingested run and reports that count.
-func TestForceDiskStoreCountsRuns(t *testing.T) {
-	cfg := &Config{Name: "force", SpillDir: t.TempDir()}
-	st := newSpillStore(cfg, nil, 0, true)
-	defer st.Close()
-	runs := storeRuns(3, 20)
-	for m, run := range runs {
-		if err := st.addRun(m, run); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.spilledRuns != 3 || len(st.files) != 3 {
-		t.Fatalf("spilledRuns=%d files=%d, want 3/3", st.spilledRuns, len(st.files))
-	}
-	want := mergeSortedRuns(runs, 60)
-	if got := drainInput(t, st); !reflect.DeepEqual(got, want) {
-		t.Fatal("force-disk merge diverged from in-memory stable merge")
-	}
-}
-
 // TestBudgetRunMatchesMemoryRun is the storage-mode equivalence
 // property at the job level: a tiny budget that forces everything
-// through compressed disk runs must reproduce the in-memory Result —
-// output bytes, timestamps, counters, schedule — exactly, across both
-// engines and worker counts, and the Chrome trace bytes too.
+// through compressed disk runs must reproduce the in-memory Workers-1
+// Result — output bytes, timestamps, counters, schedule — exactly, at
+// every worker count, and the Chrome trace bytes too.
 func TestBudgetRunMatchesMemoryRun(t *testing.T) {
-	forceHostParallel(t)
 	type outcome struct {
-		res   *Result
-		trace []byte
+		res    *Result
+		trace  []byte
+		forced int64
 	}
-	run := func(mode ExecutionMode, workers int, budget int64) outcome {
+	run := func(workers int, budget int64) outcome {
 		cfg := wordCountConfig(workers)
-		cfg.Execution = mode
 		cfg.Trace = obs.New()
 		cfg.Metrics = obs.NewRegistry()
 		if budget > 0 {
@@ -209,18 +187,24 @@ func TestBudgetRunMatchesMemoryRun(t *testing.T) {
 		if err := cfg.Trace.WriteChromeTrace(&b); err != nil {
 			t.Fatal(err)
 		}
-		return outcome{res: res, trace: b.Bytes()}
+		return outcome{res: res, trace: b.Bytes(), forced: cfg.Metrics.Counter(CounterBudgetForcedSpills).Value()}
 	}
-	for _, mode := range []ExecutionMode{ExecPipelined, ExecBarrier} {
-		for _, workers := range []int{1, 8} {
-			name := fmt.Sprintf("mode=%v/workers=%d", mode, workers)
-			base := run(mode, workers, 0)
-			tight := run(mode, workers, 64) // ~one small run; everything spills
-			if !reflect.DeepEqual(base.res, tight.res) {
-				t.Errorf("%s: Result diverged between memory and budget-spill runs", name)
+	ref := run(1, 0)
+	for _, workers := range []int{1, 8} {
+		for _, budget := range []int64{0, 64} { // 64 B: ~one small run; everything spills
+			if workers == 1 && budget == 0 {
+				continue
 			}
-			if !bytes.Equal(base.trace, tight.trace) {
-				t.Errorf("%s: trace bytes diverged between memory and budget-spill runs", name)
+			name := fmt.Sprintf("workers=%d/budget=%d", workers, budget)
+			got := run(workers, budget)
+			if !reflect.DeepEqual(got.res, ref.res) {
+				t.Errorf("%s: Result diverged from the in-memory Workers-1 run", name)
+			}
+			if !bytes.Equal(got.trace, ref.trace) {
+				t.Errorf("%s: trace bytes diverged from the in-memory Workers-1 run", name)
+			}
+			if budget > 0 && got.forced == 0 {
+				t.Errorf("%s: the budget forced no spills", name)
 			}
 		}
 	}
@@ -240,7 +224,6 @@ func TestBudgetRunRecordsPressure(t *testing.T) {
 	cfg := wordCountConfig(4)
 	cfg.NumMapTasks = 4
 	cfg.NumReduceTasks = 3
-	cfg.Execution = ExecPipelined
 	mgr := membudget.New(32 << 10)
 	cfg.MemBudget = mgr
 	cfg.SpillDir = t.TempDir()

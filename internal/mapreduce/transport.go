@@ -1,9 +1,9 @@
 package mapreduce
 
 // The task transport layer: how one job's schedulable units of work
-// (the pipelined engine's DAG nodes) reach actual execution. The
-// default LocalTransport runs every node body in-process on the shared
-// channel pool; a RemoteTransport (internal/dist) instead leases the
+// (the task graph's nodes) reach actual execution. The default
+// LocalTransport runs every node body in-process on the shared channel
+// pool; a RemoteTransport (internal/dist) instead leases the
 // deterministic task bodies — map/shuffle/reduce, identified by
 // (job seq, phase, task index) — to worker processes, while graph
 // scheduling, the attempt/retry/speculation runtime, and all
@@ -24,31 +24,12 @@ type TaskTransport interface {
 
 // LocalTransport is the default in-process transport: the job's task
 // graph executes on one shared channel-based worker pool inside this
-// process. It is the ExecPipelined fast path and the determinism
-// reference every other transport is byte-compared against.
+// process. It is the determinism reference every other transport is
+// byte-compared against.
 type LocalTransport struct{}
 
 // TransportName implements TaskTransport.
 func (LocalTransport) TransportName() string { return "local" }
-
-// execGraph runs a built task graph on the in-process channel pool —
-// the channel-pool scheduler that used to live on taskGraph directly,
-// ported here so every transport goes through the same seam. The
-// remote master path reuses it too: its dispatch closures (RPC waits)
-// run as graph nodes on this same pool, which is what keeps
-// scheduling, stop-dispatch, and deterministic error joining identical
-// across transports.
-func (LocalTransport) execGraph(g *taskGraph, workers int) error {
-	return g.execute(workers)
-}
-
-// transportOf resolves the configured transport, defaulting to local.
-func transportOf(cfg *Config) TaskTransport {
-	if cfg.Transport != nil {
-		return cfg.Transport
-	}
-	return LocalTransport{}
-}
 
 // RemoteTransport is a TaskTransport that executes task bodies in
 // other OS processes (see internal/dist). Every process in the fleet —
@@ -80,10 +61,12 @@ type RemoteJob interface {
 	// then waiting for the broadcast).
 	Master() bool
 	// RunTask executes one task on some worker and blocks until it
-	// completes (master only). A lease lost to a dead worker surfaces
-	// ErrTaskLost, which the engine retries within the RetryPolicy
-	// budget without touching the simulated attempt timeline.
-	RunTask(phase string, task, inputLen int) (*RemoteTaskResult, error)
+	// completes (master only), returning the result and, beside it, the
+	// ID of the worker that executed it. A lease lost to a dead worker
+	// surfaces ErrTaskLost, which the engine retries within the
+	// RetryPolicy budget without touching the simulated attempt
+	// timeline.
+	RunTask(phase string, task, inputLen int) (*RemoteTaskResult, int, error)
 	// Finish ends the job (master only): broadcasts the aggregated
 	// results — or the terminal error — to the worker fleet and
 	// releases the job's shared run files.

@@ -1,10 +1,10 @@
 // Package live is the pipeline's *in-flight* introspection layer.
 // Where internal/obs and internal/obs/quality export artifacts after a
 // run ends, this package answers "what is the run doing right now":
-// per-task DAG node states, attempt/retry/speculation counts, shuffle
-// merge and spill progress, memory-budget pressure, and an incremental
-// progressive-recall estimate — all published by the engines at atomic-
-// counter cost and readable at any instant, plus an HTTP status server
+// per-task DAG node states, attempt/retry/speculation counts,
+// memory-budget pressure, and an incremental progressive-recall
+// estimate — all published by the engine at atomic-counter cost and
+// readable at any instant, plus an HTTP status server
 // (server.go), a structured JSON event log (events.go), and a terminal
 // progress renderer (progress.go).
 //
@@ -24,7 +24,7 @@
 //
 // Live state is wall-clock territory, like pprof: it observes host
 // execution order and must never feed back into it. Nothing in this
-// package is read by the engines, so Result, traces, metrics, and
+// package is read by the engine, so Result, traces, metrics, and
 // quality exports are byte-identical with or without a Run attached —
 // the same contract Workers and Config.Faults obey.
 //
@@ -211,11 +211,6 @@ type Job struct {
 	name string
 	// phases index: 0 map, 1 shuffle, 2 reduce.
 	phases [3]*phaseLive
-	// merges counts committed incremental shuffle-merge nodes (the
-	// pipelined engine's pre-merge tree), including non-root nodes.
-	merges atomic.Int64
-	// spilledRuns counts sorted runs the shuffle routed to disk.
-	spilledRuns atomic.Int64
 	// retries and speculations count attempt-runtime activity.
 	retries      atomic.Int64
 	speculations atomic.Int64
@@ -342,35 +337,6 @@ func (j *Job) Speculate(p Phase, task int) {
 	j.speculations.Add(1)
 	j.run.log.Emit(EventTaskSpeculate,
 		KV("job", j.name), KV("phase", string(p)), KV("task", task))
-}
-
-// MergeCommitted records one incremental shuffle-merge node completing
-// for partition r; root marks the partition's shuffle input fully
-// assembled (the premerge tree has no single shuffle task execution to
-// report through TaskStart/TaskDone).
-func (j *Job) MergeCommitted(r int, root bool) {
-	if j == nil {
-		return
-	}
-	j.merges.Add(1)
-	if root {
-		ph := j.phases[1]
-		if r >= 0 && r < len(ph.states) {
-			ph.states[r].Store(int32(TaskDone))
-		}
-		j.run.log.Emit(EventShuffleMerged, KV("job", j.name), KV("partition", r))
-	}
-}
-
-// SpilledRuns records the shuffle routing n sorted runs to disk for
-// partition r (the deterministic ShuffleMemLimit path; budget-forced
-// spills surface through the membudget manager instead).
-func (j *Job) SpilledRuns(r int, n int64) {
-	if j == nil || n <= 0 {
-		return
-	}
-	j.spilledRuns.Add(n)
-	j.run.log.Emit(EventShuffleSpill, KV("job", j.name), KV("partition", r), KV("runs", n))
 }
 
 // End marks the job's DAG fully executed (or failed).

@@ -278,18 +278,6 @@ var NewSeededFaults = faults.NewSeeded
 // when Options.Faults is set.
 type RetryPolicy = mapreduce.RetryPolicy
 
-// ExecutionMode selects how each job's tasks execute on the host
-// machine (Options.Execution). A host knob like Options.Workers:
-// both modes produce byte-identical results, traces, and telemetry.
-type ExecutionMode = mapreduce.ExecutionMode
-
-// Execution modes: the dependency-driven pipelined engine (default,
-// no phase barriers) and the three-phase barrier reference engine.
-const (
-	ExecPipelined = mapreduce.ExecPipelined
-	ExecBarrier   = mapreduce.ExecBarrier
-)
-
 // ---- Distributed execution ----
 
 // TaskTransport selects how each job's task executions are placed
@@ -372,9 +360,9 @@ type QualityExport = quality.Export
 // NewQualityRecorder creates an enabled quality recorder.
 var NewQualityRecorder = quality.NewRecorder
 
-// LiveRun is the in-flight introspection hub: engines publish task DAG
-// states, attempt/speculation counts, shuffle/merge/spill progress, and
-// streamed per-block resolutions into it at low, lock-free cost, and
+// LiveRun is the in-flight introspection hub: the engine publishes task
+// DAG states, attempt/speculation counts, and streamed per-block
+// resolutions into it at low, lock-free cost, and
 // the status server reads racefree per-field-atomic snapshots back out.
 // Attach one via Options.Live (or BasicOptions.Live). Strictly
 // write-only from the run's perspective: results and every post-run
@@ -382,10 +370,10 @@ var NewQualityRecorder = quality.NewRecorder
 type LiveRun = live.Run
 
 // LiveEventLog is the structured JSON event log (log/slog) fed by a
-// LiveRun: run/job lifecycle, task transitions, retries, speculation,
-// shuffle merges and spills. The deterministic field subset (everything
-// except seq and wall_ms) is stable across worker counts for the
-// barrier engine.
+// LiveRun: run/job lifecycle, task transitions, retries, and
+// speculation. The deterministic field subset (everything except seq
+// and wall_ms), taken as a multiset of lines, is identical across
+// worker counts.
 type LiveEventLog = live.EventLog
 
 // ProgressSnapshot is one consistent-enough view of a run in flight:
@@ -436,7 +424,7 @@ var StartLiveProgress = live.StartProgress
 // Structured event names written to a LiveEventLog. Run lifecycle
 // events are the caller's responsibility (emit run.start before
 // Resolve and run.end after); everything else is emitted by the
-// engines.
+// engine.
 const (
 	EventRunStart      = live.EventRunStart
 	EventRunEnd        = live.EventRunEnd
@@ -447,8 +435,6 @@ const (
 	EventTaskFailed    = live.EventTaskFailed
 	EventTaskRetry     = live.EventTaskRetry
 	EventTaskSpeculate = live.EventTaskSpeculate
-	EventShuffleMerged = live.EventShuffleMerged
-	EventShuffleSpill  = live.EventShuffleSpill
 	// Distributed-runtime events, emitted by a dist.Master's lease
 	// ledger into the same log.
 	EventWorkerRegister = live.EventWorkerRegister

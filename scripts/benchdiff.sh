@@ -4,9 +4,9 @@
 # repeated -count runs averaged), print old vs new ns/op, B/op, and
 # allocs/op with percentage deltas. POSIX sh + awk only.
 #
-# Typical use (see `make bench-compare`): run the same benchmark tree
-# under two configurations, normalize the sub-benchmark names so they
-# line up, and diff:
+# Typical use: run the same benchmark tree under two configurations
+# (or two commits), normalize the sub-benchmark names so they line up,
+# and diff:
 #
 #   go test -bench 'X/variantA' ... | sed 's|/variantA/|/|' > a.txt
 #   go test -bench 'X/variantB' ... | sed 's|/variantB/|/|' > b.txt

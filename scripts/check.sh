@@ -62,10 +62,10 @@ go build ./...
 echo "== go test -race (fault runtime) =="
 go test -race -count=1 ./internal/mapreduce ./internal/faults
 
-# The pipelined task-graph scheduler is the most concurrency-dense code
-# in the repo (one shared pool, cross-phase interleaving, incremental
-# merges); hammer it repeatedly under the race detector.
-echo "== go test -race (pipelined scheduler) =="
+# The task-graph scheduler is the most concurrency-dense code in the
+# repo (one shared pool, cross-phase interleaving, speculation nodes
+# racing reduce work); hammer it repeatedly under the race detector.
+echo "== go test -race (task-graph scheduler) =="
 go test -race -count=3 -run 'TaskGraph|Pipelined' ./internal/mapreduce
 
 echo "== go test -race =="
@@ -184,5 +184,21 @@ cmp "$smoke/floc-trace.json" "$smoke/fdist-trace.json" || {
 go run ./scripts/tracecheck -events "$smoke/fdist-events.jsonl"
 grep -q '"event":"lease.expire"' "$smoke/fdist-events.jsonl" || {
     echo "killed worker expired no leases — the smoke test is not exercising worker loss"; exit 1; }
+# Speculation across workers: on a 10x2-slot cluster at fault rate 0.3,
+# speculative backups run on a different worker than the attempts they
+# shadow. The executing worker must stay out of the speculation
+# self-check, so the run completes byte-identical to the local one.
+go run ./cmd/proger -generate publications -n 1200 -fault-rate 0.3 \
+    -out "$smoke/sloc.tsv" -trace "$smoke/sloc-trace.json" 2>/dev/null
+go run ./cmd/proger -generate publications -n 1200 -fault-rate 0.3 \
+    -dist 2 -events "$smoke/sdist-events.jsonl" \
+    -out "$smoke/sdist.tsv" -trace "$smoke/sdist-trace.json" 2>/dev/null || {
+    echo "distributed run with speculation failed"; exit 1; }
+cmp "$smoke/sloc.tsv" "$smoke/sdist.tsv" || {
+    echo "distributed speculation changed the duplicate pairs"; exit 1; }
+cmp "$smoke/sloc-trace.json" "$smoke/sdist-trace.json" || {
+    echo "distributed speculation changed the trace"; exit 1; }
+grep -q '"event":"task.speculate"' "$smoke/sdist-events.jsonl" || {
+    echo "no speculative attempt launched — the smoke test is not exercising speculation"; exit 1; }
 
 echo "check: OK"
